@@ -32,7 +32,7 @@ from .dyadic import (
     integrate,
     subtract_one,
 )
-from .errors import BoundExceeded, MaxPoint, MinPoint
+from .errors import MaxPoint, MinPoint
 
 
 class Ordering(enum.Enum):
@@ -156,50 +156,27 @@ class OrbitClass(enum.Enum):
     NEG_SEMIORBIT_01 = "NegSemiorbitOf01"
 
 
-def _cyclic_pairs(per):
-    k = len(per)
-    has00 = any(per[i] == 0 and per[(i + 1) % k] == 0 for i in range(k))
-    has11 = any(per[i] == 1 and per[(i + 1) % k] == 1 for i in range(k))
-    return has00, has11
-
-
 def classify_orbit(x: EpSeq, bound: int | None = None) -> OrbitClass:
-    """Locate x's orbit: generic (infinitely many 00 and 11 pairs, orbit =
-    cofinality class) or one of the four exceptional semiorbits.
+    """Locate x's orbit: generic or one of the four exceptional semiorbits.
 
-    Exceptional points are resolved by iterating the predecessor (toward a
-    constant sequence) and the successor (toward an alternating one) in
-    lockstep, at most `bound` steps each; the default budget is
-    4 * (preperiod + period length) + 8.  If neither direction resolves,
-    BoundExceeded is raised rather than guessing.
+    The successor changes only finitely many digits and differentiation
+    conjugates it to +1, so every orbit is a whole cofinality class and
+    the tail decides: an eventually constant point lies on the positive
+    semiorbit of that constant, an eventually alternating one on the
+    negative semiorbit of the alternating point it is cofinal with, and
+    every other orbit is generic.  The cost follows the size of x.
+    `bound` is accepted for compatibility with callers that still pass a
+    step budget, and ignored.
     """
-    has00, has11 = _cyclic_pairs(x.period)
-    if has00 and has11:
-        return OrbitClass.GENERIC
-    if bound is None:
-        bound = 4 * (len(x.preperiod) + len(x.period)) + 8
-    back = fwd = x
-    back_live = True
-    for _ in range(bound + 1):
-        if back_live:
-            if back.is_min():
-                return (
-                    OrbitClass.POS_SEMIORBIT_ZEROS
-                    if back == ZERO
-                    else OrbitClass.POS_SEMIORBIT_ONES
-                )
-            if back.is_max():
-                back_live = False  # predecessors stay alternating forever
-            else:
-                back = morse_predecessor(back)
-        if fwd.is_max():
-            return (
-                OrbitClass.NEG_SEMIORBIT_10
-                if fwd == ALT_10
-                else OrbitClass.NEG_SEMIORBIT_01
-            )
-        fwd = morse_successor(fwd)
-    raise BoundExceeded(f"{x} not resolved within {bound} steps")
+    if x.is_eventually_constant():
+        if x.period == (0,):
+            return OrbitClass.POS_SEMIORBIT_ZEROS
+        return OrbitClass.POS_SEMIORBIT_ONES
+    if x.is_eventually_alternating():
+        if x.is_cofinal(ALT_01):
+            return OrbitClass.NEG_SEMIORBIT_01
+        return OrbitClass.NEG_SEMIORBIT_10
+    return OrbitClass.GENERIC
 
 
 # -- cylinder (prefix) action -----------------------------------------

@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .dyadic import (
@@ -171,31 +172,30 @@ def cmd_factor(args) -> int:
     return 0
 
 
+def _resolve_solenoid_step(args) -> Callable[[solenoid.BiSeq], solenoid.BiSeq]:
+    if args.map == "shift":
+        return lambda x: solenoid.s_hat(x, -1 if args.inverse else 1)
+    if args.map == "diff":
+        if args.inverse:
+            raise ValueError("map 'diff' is 2-to-1: no --inverse")
+        return solenoid.d_hat
+    if args.map == "translate":
+        q = DyadicRational.parse(args.by)
+        if args.inverse:
+            q = DyadicRational(-q.num, q.exp)
+        f = partial(solenoid.q2_translate, q)
+    elif args.inverse:
+        f = partial(solenoid.m_hat_inv, extend_at_min=args.extend_at_max)
+    else:
+        f = partial(solenoid.m_hat, extend_at_max=args.extend_at_max)
+    return partial(solenoid.conjugate, args.level, f)
+
+
 def cmd_solenoid_step(args) -> int:
     x = solenoid.BiSeq.parse(args.point)
-    extend = args.extend_at_max
+    step = _resolve_solenoid_step(args)
     for _ in range(args.count):
-        if args.map == "morse":
-            if args.inverse:
-                x = solenoid.s_hat(
-                    solenoid.m_hat_inv(solenoid.s_hat(x, -args.level),
-                                       extend_at_min=extend),
-                    args.level)
-            else:
-                x = solenoid.m_family(args.level, x, extend_at_max=extend)
-        elif args.map == "translate":
-            q = DyadicRational.parse(args.by)
-            if args.inverse:
-                q = DyadicRational(-q.num, q.exp)
-            x = solenoid.s_hat(
-                solenoid.q2_translate(q, solenoid.s_hat(x, -args.level)),
-                args.level)
-        elif args.map == "shift":
-            x = solenoid.s_hat(x, -1 if args.inverse else 1)
-        else:
-            if args.inverse:
-                raise ValueError("map 'diff' is 2-to-1: no --inverse")
-            x = solenoid.d_hat(x)
+        x = step(x)
     coord = solenoid.pi(x)
     _emit(args, f"{x} | y={coord.y} lam={coord.lam}",
           {"point": str(x), "y": str(coord.y), "lam": str(coord.lam)})

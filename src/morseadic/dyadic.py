@@ -337,7 +337,10 @@ class DyadicRational:
 
     @classmethod
     def parse(cls, text: str) -> "DyadicRational":
-        return cls.from_fraction(Fraction(text))
+        try:
+            return cls.from_fraction(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {text!r}") from None
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)

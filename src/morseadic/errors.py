@@ -21,7 +21,8 @@ class MinPoint(DomainError):
 
 
 class BoundExceeded(Exception):
-    """Orbit classification did not resolve within the iteration budget."""
+    """Not raised by this package: orbit classification is a closed form
+    with no step budget.  Defined so that code catching it still imports."""
 
 
 class AmbiguousWindow(ValueError):

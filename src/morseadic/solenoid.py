@@ -8,10 +8,10 @@ structural equalities.
 
 Maps: translation by one (t_hat), the invertible two-sided shift
 (s_hat, k=1 is multiplication by 2), two-sided differentiation (d_hat),
-the extended successor (m_hat) and its inverse, the conjugate families
-t_family / m_family, and translation by any dyadic rational
-(q2_translate), which together realize an action of the group of
-dyadic rationals.
+the extended successor (m_hat) and its inverse, their shift conjugates
+(conjugate, with the families t_family / m_family), and translation by
+any dyadic rational (q2_translate), which together realize an action of
+the group of dyadic rationals.
 
 m_hat moves the right half one successor step and flips the left half
 exactly when the step changes digit 0's parity, i.e. when
@@ -26,23 +26,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import dyadic
 from .dyadic import (
     DyadicRational,
     EpSeq,
+    _split,
     add_integer,
     add_one,
     differentiate,
-    shift_drop,
 )
 from .adic import morse_predecessor, morse_successor, step_parity
 
 _LITERAL = re.compile(r"^\(([01]+)\)([01]*)\.([01]*\([01]+\))$")
-
-
-def _prepend(bit: int, x: EpSeq) -> EpSeq:
-    return EpSeq((bit,) + x.preperiod, x.period)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,24 +113,24 @@ def t_hat(x: BiSeq) -> BiSeq:
     return BiSeq(x.left, add_one(x.right))
 
 
-def _shift_up(x: BiSeq) -> BiSeq:
-    # multiply by 2: every digit moves one place toward +infinity
-    return BiSeq(shift_drop(x.left), _prepend(x.left.digit(0), x.right))
-
-
-def _shift_down(x: BiSeq) -> BiSeq:
-    return BiSeq(_prepend(x.right.digit(0), x.left), shift_drop(x.right))
-
-
 def s_hat(x: BiSeq, k: int = 1) -> BiSeq:
     """k-fold two-sided shift: digit(result, n) = digit(x, n - k).
     k = 1 multiplies the point by 2 (lam doubles mod 1, y gains the
-    carried digit); unlike the one-sided shift this is invertible."""
-    for _ in range(k):
-        x = _shift_up(x)
-    for _ in range(-k):
-        x = _shift_down(x)
-    return x
+    carried digit); unlike the one-sided shift this is invertible.
+    The |k| digits that cross the binary point leave one half in a
+    single slice and are prepended, nearest first, to the other."""
+    if k == 0:
+        return x
+    src, dst = (x.left, x.right) if k > 0 else (x.right, x.left)
+    head, tpre, tper = _split(src, abs(k))
+    rest = EpSeq(tpre, tper)
+    grown = EpSeq(tuple(reversed(head)) + dst.preperiod, dst.period)
+    return BiSeq(rest, grown) if k > 0 else BiSeq(grown, rest)
+
+
+def conjugate(i: int, f: Callable[[BiSeq], BiSeq], x: BiSeq) -> BiSeq:
+    """The map f conjugated by the two-sided shift: s_hat(i) . f . s_hat(-i)."""
+    return s_hat(f(s_hat(x, -i)), i)
 
 
 def d_hat(x: BiSeq) -> BiSeq:
@@ -171,20 +169,19 @@ def m_hat_inv(x: BiSeq, extend_at_min: bool = False) -> BiSeq:
 def t_family(i: int, x: BiSeq) -> BiSeq:
     """Conjugate translation s_hat(i) . t_hat . s_hat(-i): adds 2^i,
     so t_family(i) applied twice equals t_family(i+1)."""
-    return s_hat(t_hat(s_hat(x, -i)), i)
+    return conjugate(i, t_hat, x)
 
 
 def m_family(i: int, x: BiSeq, extend_at_max: bool = False) -> BiSeq:
     """Conjugate successor s_hat(i) . m_hat . s_hat(-i); applied twice
     it equals m_family(i+1).  MaxPoint propagates from the conjugated
     point."""
-    return s_hat(m_hat(s_hat(x, -i), extend_at_max=extend_at_max), i)
+    return conjugate(i, partial(m_hat, extend_at_max=extend_at_max), x)
 
 
 def q2_translate(q: DyadicRational, x: BiSeq) -> BiSeq:
     """Translate by the dyadic rational q = num / 2^exp: shift up so q
     becomes an integer, add it with full carries, shift back.  Additive
     in q; q = 1 is t_hat."""
-    y = s_hat(x, q.exp)
-    y = BiSeq(y.left, add_integer(y.right, q.num))
-    return s_hat(y, -q.exp)
+    return conjugate(
+        -q.exp, lambda y: BiSeq(y.left, add_integer(y.right, q.num)), x)

@@ -126,10 +126,10 @@ def coding(x: EpSeq, lo: int, hi: int, extend: bool = False) -> CodingWindow:
         pt = morse_predecessor(pt, extend_at_min=extend)
     for _ in range(lo):
         pt = morse_successor(pt, extend_at_max=extend)
-    letters = []
-    for _ in range(lo, hi + 1):
-        letters.append(str(pt.digit(0)))
+    letters = [str(pt.digit(0))]
+    for _ in range(lo, hi):
         pt = morse_successor(pt, extend_at_max=extend)
+        letters.append(str(pt.digit(0)))
     return CodingWindow("".join(letters), lo)
 
 

@@ -132,7 +132,7 @@ def test_criterion_08_derived_fixed_point():
 def test_criterion_09_solenoid_suite():
     rep = verify.suite_solenoid(samples=10**3, seed=1306)
     _report(9, "solenoid-suite", not rep.failures,
-            f"(cases={rep.cases} exceptions={rep.exceptions})")
+            f"(cases={rep.cases} excluded={rep.excluded})")
 
 
 def test_criterion_10_coding():

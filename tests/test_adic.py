@@ -7,7 +7,6 @@ from morseadic import (
     ALT_10,
     MINUS_ONE,
     ZERO,
-    BoundExceeded,
     EpSeq,
     MaxPoint,
     MinPoint,
@@ -201,6 +200,9 @@ class TestOrbitClassification:
         ("0010(1)", OrbitClass.POS_SEMIORBIT_ONES),
         ("(0011)", OrbitClass.GENERIC),
         ("0(0011)", OrbitClass.GENERIC),
+        ("(001)", OrbitClass.GENERIC),
+        ("(011)", OrbitClass.GENERIC),
+        ("1(0010)", OrbitClass.GENERIC),
     ])
     def test_known_classes(self, lit, cls):
         assert classify_orbit(EpSeq.parse(lit)) is cls
@@ -209,15 +211,32 @@ class TestOrbitClassification:
         assert classify_orbit(EpSeq.from_integer(6)) is \
             OrbitClass.POS_SEMIORBIT_ZEROS
 
-    def test_unresolvable_period_raises(self):
-        with pytest.raises(BoundExceeded):
-            classify_orbit(EpSeq.parse("(001)"))
+    def test_far_integer_needs_no_budget(self):
+        assert classify_orbit(EpSeq.from_integer(100)) is \
+            OrbitClass.POS_SEMIORBIT_ZEROS
 
-    def test_far_integer_needs_larger_bound(self):
-        x = EpSeq.from_integer(100)
-        with pytest.raises(BoundExceeded):
-            classify_orbit(x)
-        assert classify_orbit(x, bound=256) is OrbitClass.POS_SEMIORBIT_ZEROS
+    def test_late_pair_alternating_point(self):
+        x = EpSeq.parse("01" * 3000 + "0(01)")
+        assert classify_orbit(x) is OrbitClass.NEG_SEMIORBIT_10
+
+    @given(ep_seqs())
+    def test_agrees_with_bounded_iteration(self, x):
+        # an end met within 64 steps either way (steps 0..64) must be the
+        # one named; in particular a GENERIC point never meets one
+        ends = {
+            ZERO: OrbitClass.POS_SEMIORBIT_ZEROS,
+            MINUS_ONE: OrbitClass.POS_SEMIORBIT_ONES,
+            ALT_10: OrbitClass.NEG_SEMIORBIT_10,
+            ALT_01: OrbitClass.NEG_SEMIORBIT_01,
+        }
+        cls = classify_orbit(x)
+        back = fwd = x
+        for _ in range(65):
+            for p in (back, fwd):
+                if p in ends:
+                    assert cls is ends[p]
+                    return
+            back, fwd = morse_predecessor(back), morse_successor(fwd)
 
     def test_class_values_are_stable_strings(self):
         assert OrbitClass.GENERIC.value == "Generic"

@@ -193,6 +193,13 @@ class TestSolenoidStep:
         code, _, err = run(capsys, "solenoid-step", "(0).(01)")
         assert code == 3
 
+    def test_translate_by_zero_denominator(self, capsys):
+        code, out, err = run(capsys, "solenoid-step", "(0).(0)",
+                             "--map", "translate", "--by", "1/0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestVerify:
     def test_exit_zero(self, capsys):

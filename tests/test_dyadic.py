@@ -260,6 +260,10 @@ class TestDyadicRational:
         with pytest.raises(ValueError):
             DyadicRational.from_fraction(Fraction(1, 6))
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            DyadicRational.parse("1/0")
+
     @given(st.integers(-256, 256), st.integers(0, 10),
            st.integers(-256, 256), st.integers(0, 10))
     def test_addition(self, a, i, b, j):

@@ -97,13 +97,13 @@ class TestShift:
     def test_doubling_example(self):
         assert str(s_hat(biseq("(0)1.(0)"))) == "(0).1(0)"
 
-    @given(bi_seqs(), st.integers(-3, 3))
+    @given(bi_seqs(), st.integers(-64, 64))
     def test_digit_relation(self, x, k):
         y = s_hat(x, k)
-        for n in range(-10, 11):
+        for n in range(-abs(k) - 10, abs(k) + 11):
             assert y.digit(n) == x.digit(n - k)
 
-    @given(bi_seqs(), st.integers(-4, 4))
+    @given(bi_seqs(), st.integers(-64, 64))
     def test_invertible(self, x, k):
         assert s_hat(s_hat(x, k), -k) == x
 

@@ -120,6 +120,12 @@ class TestCoding:
         assert got.word == "".join(manual)
         assert got.lo == 0
 
+    def test_window_may_end_on_alternating_point(self):
+        # the successor of 0(01) is (10), which has no successor
+        x = EpSeq.parse("0(01)")
+        assert coding(x, 0, 1).word == "01"
+        assert str(coding(x, -3, 1)) == "010.01"
+
     def test_backward_with_extension(self):
         win = coding(ZERO, -(2**6), -1, extend=True)
         assert win.word == word_flip(thue_morse_prefix(2**6))[::-1]
