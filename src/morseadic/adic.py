@@ -26,6 +26,7 @@ from .dyadic import (
     MINUS_ONE,
     ZERO,
     _split,
+    add_integer,
     add_one,
     differentiate,
     first_pair_index,
@@ -98,6 +99,41 @@ def morse_predecessor(y: EpSeq, extend_at_min: bool = False) -> EpSeq:
     head = [a if (k - 1 - i) % 2 == 0 else 1 - a for i in range(k)]
     _, tpre, tper = _split(y, k)
     return EpSeq(tuple(head) + tpre, tper)
+
+
+def morse_power(x: EpSeq, n: int, extend: bool = False) -> EpSeq:
+    """The n-th successor of x, or the |n|-th predecessor when n < 0.
+
+    Differentiation conjugates the successor to +1 and the successor
+    changes finitely many digits, so the answer is the preimage of
+    D(x) + n that is cofinal with x.  On the four exceptional semiorbits
+    D(x) is an integer, nonnegative on the eventually constant points and
+    negative on the eventually alternating ones; a jump whose target has
+    the other sign passes the end of x's semiorbit, steps off it as the
+    iteration would (raising MaxPoint/MinPoint there unless extended),
+    and lands on the glued orbit, where (01) goes with (1) and (10) with
+    (0).  The cost follows the size of x plus log |n|.
+    """
+    if n == 0:
+        return x
+    # one step costs a fraction of the jump below
+    if n == 1:
+        return morse_successor(x, extend_at_max=extend)
+    if n == -1:
+        return morse_predecessor(x, extend_at_min=extend)
+    dx = differentiate(x)
+    y = add_integer(dx, n)
+    ref = x
+    if y.is_eventually_constant() and y.period != dx.period:
+        # D(x) and D(x) + n are integers of opposite sign: step off the end
+        if n > 0:
+            ref = morse_successor(
+                ALT_01 if x.is_cofinal(ALT_01) else ALT_10, extend_at_max=extend)
+        else:
+            ref = morse_predecessor(EpSeq((), x.period), extend_at_min=extend)
+    z = integrate(y, 0)
+    i = max(len(ref.preperiod), len(z.preperiod))
+    return z if z.digit(i) == ref.digit(i) else z.flip()
 
 
 def phi(y: EpSeq) -> int:

@@ -24,6 +24,7 @@ from typing import Callable
 from .dyadic import (
     DyadicRational,
     EpSeq,
+    add_integer,
     add_one,
     differentiate,
     double,
@@ -33,6 +34,7 @@ from .dyadic import (
 from .adic import (
     f_inv,
     f_map,
+    morse_power,
     morse_predecessor,
     morse_successor,
     skew_step,
@@ -70,6 +72,8 @@ def _emit(args, plain: str, record: dict) -> None:
 class _StepMap:
     forward: Callable[[EpSeq, bool], EpSeq]
     inverse: Callable[[EpSeq, bool], EpSeq] | None
+    # closed form for n steps (negative n: inverse steps), if the map has one
+    power: Callable[[EpSeq, int, bool], EpSeq] | None = None
 
 
 def _halve(x: EpSeq, extend: bool) -> EpSeq:
@@ -81,11 +85,13 @@ def _halve(x: EpSeq, extend: bool) -> EpSeq:
 _STEP_MAPS = {
     "morse": _StepMap(
         lambda x, e: morse_successor(x, extend_at_max=e),
-        lambda x, e: morse_predecessor(x, extend_at_min=e)),
+        lambda x, e: morse_predecessor(x, extend_at_min=e),
+        morse_power),
     "skew": _StepMap(
         lambda x, e: f_inv(skew_step(f_map(x))),
         lambda x, e: f_inv(skew_unstep(f_map(x)))),
-    "odometer": _StepMap(lambda x, e: add_one(x), lambda x, e: subtract_one(x)),
+    "odometer": _StepMap(lambda x, e: add_one(x), lambda x, e: subtract_one(x),
+                         lambda x, n, e: add_integer(x, n)),
     "diff": _StepMap(lambda x, e: differentiate(x), None),
     "differentiate": _StepMap(lambda x, e: differentiate(x), None),
     "shift": _StepMap(lambda x, e: shift_drop(x), None),
@@ -119,22 +125,34 @@ def cmd_tm(args) -> int:
     return status
 
 
+def _count(args) -> int:
+    if args.count < 0:
+        raise ValueError("count must be nonnegative")
+    return args.count
+
+
 def cmd_step(args) -> int:
+    count = _count(args)
     step = _resolve_step(args)
     x = parse_point(args.point)
-    for _ in range(args.count):
-        x = step(x)
+    power = _STEP_MAPS[args.map].power
+    if power is not None:
+        x = power(x, -count if args.inverse else count, args.extend_at_max)
+    else:
+        for _ in range(count):
+            x = step(x)
     _emit(args, f"{x} = {_value(x)}", {"point": str(x), "value": _value(x)})
     return 0
 
 
 def cmd_orbit(args) -> int:
+    count = _count(args)
     step = _resolve_step(args)
     x = parse_point(args.point)
-    for i in range(args.count + 1):
+    for i in range(count + 1):
         _emit(args, f"{i}\t{x} = {_value(x)}",
               {"step": i, "point": str(x), "value": _value(x)})
-        if i < args.count:
+        if i < count:
             x = step(x)
     return 0
 
@@ -192,9 +210,10 @@ def _resolve_solenoid_step(args) -> Callable[[solenoid.BiSeq], solenoid.BiSeq]:
 
 
 def cmd_solenoid_step(args) -> int:
+    count = _count(args)
     x = solenoid.BiSeq.parse(args.point)
     step = _resolve_solenoid_step(args)
-    for _ in range(args.count):
+    for _ in range(count):
         x = step(x)
     coord = solenoid.pi(x)
     _emit(args, f"{x} | y={coord.y} lam={coord.lam}",
@@ -203,6 +222,8 @@ def cmd_solenoid_step(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError("samples must be at least 1")
     reports = verify.run_suites(args.suite, args.samples, args.seed)
     failed = False
     for rep in reports:

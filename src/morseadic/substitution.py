@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .dyadic import EpSeq, shift_drop
 from .errors import AmbiguousWindow
-from .adic import morse_successor, morse_predecessor
+from .adic import morse_power, morse_successor
 
 ZETA = {"0": "01", "1": "10"}
 DIFF_RULES = {"0": "11", "1": "10"}
@@ -117,15 +117,13 @@ def coding(x: EpSeq, lo: int, hi: int, extend: bool = False) -> CodingWindow:
 
     Negative times iterate the predecessor.  extend passes the
     alternating/constant extension through to the underlying maps, so
-    the full orbit of any point is defined.
+    the full orbit of any point is defined.  The orbit is entered at
+    time lo in one jump (morse_power) and stepped only across the window,
+    so the cost is O(size of x + log |lo|) plus the window width.
     """
     if lo > hi:
         raise ValueError("lo must not exceed hi")
-    pt = x
-    for _ in range(-lo):
-        pt = morse_predecessor(pt, extend_at_min=extend)
-    for _ in range(lo):
-        pt = morse_successor(pt, extend_at_max=extend)
+    pt = morse_power(x, lo, extend)
     letters = [str(pt.digit(0))]
     for _ in range(lo, hi):
         pt = morse_successor(pt, extend_at_max=extend)

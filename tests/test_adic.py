@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ep_seqs
 from morseadic import (
@@ -11,8 +13,10 @@ from morseadic import (
     MaxPoint,
     MinPoint,
     add_integer,
+    coding,
     differentiate,
     flip,
+    morse_power,
     morse_predecessor,
     morse_successor,
     phi,
@@ -31,6 +35,7 @@ from morseadic.adic import (
     skew_unstep,
     successor_prefix,
 )
+from morseadic.verify import random_epseq
 
 MORSE_TABLE = (1, 3, 7, 2, 5, 15, 4, 6, 9, 11, 31, 10, 13, 8, 12, 14)
 
@@ -132,6 +137,64 @@ class TestPredecessor:
     def test_extension_round_trip(self):
         y = morse_predecessor(ZERO, extend_at_min=True)
         assert morse_successor(y, extend_at_max=True) == ZERO
+
+
+_ENDS = (ZERO, MINUS_ONE, ALT_01, ALT_10)
+
+
+def _iterate(x, n, extend):
+    for _ in range(abs(n)):
+        if n > 0:
+            x = morse_successor(x, extend_at_max=extend)
+        else:
+            x = morse_predecessor(x, extend_at_min=extend)
+    return x
+
+
+def _outcome(f, *args):
+    """The result, or the type and message of the domain error raised."""
+    try:
+        return f(*args)
+    except (MaxPoint, MinPoint) as exc:
+        return type(exc), str(exc)
+
+
+power_points = st.one_of(
+    st.integers(0, 2**32).map(lambda seed: random_epseq(random.Random(seed))),
+    st.integers(-64, 63).map(EpSeq.from_integer),
+    st.sampled_from(_ENDS),
+    st.builds(lambda end, j: _iterate(end, j, True),
+              st.sampled_from(_ENDS), st.integers(-8, 8)),
+)
+
+
+class TestMorsePower:
+    @settings(max_examples=500)
+    @given(power_points, st.integers(-64, 64), st.booleans())
+    def test_agrees_with_iteration(self, x, n, extend):
+        assert _outcome(morse_power, x, n, extend) == _outcome(_iterate, x, n, extend)
+
+    @pytest.mark.parametrize("end", _ENDS, ids=str)
+    def test_jumps_across_the_ends(self, end):
+        # every start within 3 steps of an end, every jump of at most 8
+        for j in range(-3, 4):
+            x = _iterate(end, j, True)
+            for n in range(-8, 9):
+                for extend in (False, True):
+                    assert _outcome(morse_power, x, n, extend) == \
+                        _outcome(_iterate, x, n, extend), (x, n, extend)
+
+    @pytest.mark.parametrize("lit", ["(001)", "1(0010)", "0(0011)", "101(0)", "110100(10)"])
+    @pytest.mark.parametrize("lo,hi", [(4000, 4031), (-4031, -4000)])
+    def test_far_coding_window(self, lit, lo, hi):
+        x = EpSeq.parse(lit)
+        pt = _iterate(x, lo, True)
+        letters = [str(pt.digit(0))]
+        for _ in range(lo, hi):
+            pt = morse_successor(pt, extend_at_max=True)
+            letters.append(str(pt.digit(0)))
+        window = coding(x, lo, hi, extend=True)
+        assert (window.word, window.lo) == ("".join(letters), lo)
 
 
 class TestCocycles:

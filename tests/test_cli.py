@@ -1,10 +1,16 @@
 """End-to-end runs of the command line entry point."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from morseadic.cli import main
+from morseadic import EpSeq, add_one, morse_predecessor, morse_successor, subtract_one
+from morseadic.cli import main, parse_point
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -87,6 +93,41 @@ class TestStep:
         code_b, out_b, _ = run(capsys, "step", "11", "--map", "morse")
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_far_count_matches_iteration(self, capsys, inverse):
+        x = EpSeq.parse("(001)")
+        for _ in range(4096):
+            x = morse_predecessor(x) if inverse else morse_successor(x)
+        flags = ["--inverse"] if inverse else []
+        code, out, _ = run(capsys, "step", "(001)", "-n", "4096", *flags)
+        assert code == 0
+        assert out == f"{x} = {x.to_rational()}\n"
+
+    @pytest.mark.parametrize("lit", ["-6", "1/3"])
+    def test_odometer_count_matches_iteration(self, capsys, lit):
+        for inverse in (False, True):
+            x = parse_point(lit)
+            for n in range(65):
+                flags = ["--inverse"] if inverse else []
+                code, out, _ = run(capsys, "step", lit, "--map", "odometer",
+                                   "-n", str(n), *flags)
+                assert code == 0
+                assert out == f"{x} = {x.to_rational()}\n", (n, inverse)
+                x = subtract_one(x) if inverse else add_one(x)
+
+    @pytest.mark.parametrize("argv", [
+        ["step", "0", "-n", "-5"],
+        ["step", "0", "-n", "-1", "--map", "odometer", "--inverse"],
+        ["step", "0", "-n", "-2", "--map", "shift"],
+        ["orbit", "0", "-n", "-1"],
+        ["solenoid-step", "(0).(0)", "-n", "-3"],
+    ])
+    def test_negative_count_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "count must be nonnegative" in err
 
 
 class TestOrbit:
@@ -225,6 +266,13 @@ class TestVerify:
         assert code == 0
         assert len(out.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_nonpositive_samples_rejected(self, capsys, samples):
+        code, out, err = run(capsys, "verify", "--suite", "solenoid", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "samples must be at least 1" in err
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -232,3 +280,33 @@ class TestUsageErrors:
 
     def test_missing_argument(self, capsys):
         assert run(capsys, "step")[0] == 2
+
+
+# README command lines whose trailing comment is their exact output
+README_EXACT = (
+    "tm 16",
+    "step 2",
+    "step 5 --inverse",
+    'step "(10)" --extend-at-max',
+    "code 0 -4 3 --extend-at-max",
+    "factor 1001",
+    'solenoid-step "(0).(0)"',
+)
+
+
+def _readme_examples() -> dict[str, str]:
+    examples = {}
+    for line in README.read_text().splitlines():
+        m = re.match(r"morseadic (.+?)\s+# (.+)$", line)
+        if m:
+            examples[m.group(1)] = m.group(2)
+    return examples
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("command", README_EXACT)
+    def test_prints_its_comment(self, capsys, command):
+        comment = _readme_examples()[command]
+        code, out, _ = run(capsys, *shlex.split(command))
+        assert code == 0
+        assert out == comment + "\n"
