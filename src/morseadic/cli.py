@@ -17,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -25,21 +24,11 @@ from .dyadic import (
     DyadicRational,
     EpSeq,
     add_integer,
-    add_one,
     differentiate,
     double,
     shift_drop,
-    subtract_one,
 )
-from .adic import (
-    f_inv,
-    f_map,
-    morse_power,
-    morse_predecessor,
-    morse_successor,
-    skew_step,
-    skew_unstep,
-)
+from .adic import f_inv, f_map, morse_power, skew_step, skew_unstep
 from .arith import classify, morse_int, theta
 from .errors import DomainError
 from . import solenoid, substitution, verify
@@ -68,44 +57,52 @@ def _emit(args, plain: str, record: dict) -> None:
         print(plain)
 
 
-@dataclass(frozen=True)
-class _StepMap:
-    forward: Callable[[EpSeq, bool], EpSeq]
-    inverse: Callable[[EpSeq, bool], EpSeq] | None
-    # closed form for n steps (negative n: inverse steps), if the map has one
-    power: Callable[[EpSeq, int, bool], EpSeq] | None = None
-
-
-def _halve(x: EpSeq, extend: bool) -> EpSeq:
+def _halve(x: EpSeq) -> EpSeq:
     if x.digit(0) == 1:
         raise DomainError(f"{x} is odd: not in the image of doubling")
     return shift_drop(x)
 
 
-_STEP_MAPS = {
-    "morse": _StepMap(
-        lambda x, e: morse_successor(x, extend_at_max=e),
-        lambda x, e: morse_predecessor(x, extend_at_min=e),
-        morse_power),
-    "skew": _StepMap(
-        lambda x, e: f_inv(skew_step(f_map(x))),
-        lambda x, e: f_inv(skew_unstep(f_map(x)))),
-    "odometer": _StepMap(lambda x, e: add_one(x), lambda x, e: subtract_one(x),
-                         lambda x, n, e: add_integer(x, n)),
-    "diff": _StepMap(lambda x, e: differentiate(x), None),
-    "differentiate": _StepMap(lambda x, e: differentiate(x), None),
-    "shift": _StepMap(lambda x, e: shift_drop(x), None),
-    "double": _StepMap(lambda x, e: double(x), _halve),
+def _iterate(step, unstep=None):
+    """The n-step function of a map with no closed form: n single steps,
+    or |n| steps of the inverse when n < 0."""
+    def power(x, n, extend=False):
+        f = step if n >= 0 else unstep
+        for _ in range(abs(n)):
+            x = f(x)
+        return x
+    return power
+
+
+# Each --map as one function (x, n, extend) -> the n-th image of x, the
+# |n|-th preimage when n < 0; closed forms where the map has one.
+_STEP_POWERS = {
+    "morse": morse_power,
+    "skew": _iterate(lambda x: f_inv(skew_step(f_map(x))),
+                     lambda x: f_inv(skew_unstep(f_map(x)))),
+    "odometer": lambda x, n, e: add_integer(x, n),
+    "diff": _iterate(differentiate),
+    "shift": _iterate(shift_drop),
+    "double": _iterate(double, _halve),
 }
 
 
-def _resolve_step(args) -> Callable[[EpSeq], EpSeq]:
-    spec = _STEP_MAPS[args.map]
+def _no_inverse(args) -> None:
     if args.inverse:
-        if spec.inverse is None:
-            raise ValueError(f"map {args.map!r} is 2-to-1: no --inverse")
-        return lambda x: spec.inverse(x, args.extend_at_max)
-    return lambda x: spec.forward(x, args.extend_at_max)
+        raise ValueError(f"map {args.map!r} is 2-to-1: no --inverse")
+
+
+def _step_power(args) -> Callable[[EpSeq, int, bool], EpSeq]:
+    if args.map in ("diff", "shift"):
+        _no_inverse(args)
+    return _STEP_POWERS[args.map]
+
+
+def _count(args) -> int:
+    """-n as a signed step count: negative under --inverse."""
+    if args.count < 0:
+        raise ValueError("count must be nonnegative")
+    return -args.count if args.inverse else args.count
 
 
 def cmd_tm(args) -> int:
@@ -125,35 +122,23 @@ def cmd_tm(args) -> int:
     return status
 
 
-def _count(args) -> int:
-    if args.count < 0:
-        raise ValueError("count must be nonnegative")
-    return args.count
-
-
 def cmd_step(args) -> int:
-    count = _count(args)
-    step = _resolve_step(args)
-    x = parse_point(args.point)
-    power = _STEP_MAPS[args.map].power
-    if power is not None:
-        x = power(x, -count if args.inverse else count, args.extend_at_max)
-    else:
-        for _ in range(count):
-            x = step(x)
+    n = _count(args)
+    power = _step_power(args)
+    x = power(parse_point(args.point), n, args.extend_at_max)
     _emit(args, f"{x} = {_value(x)}", {"point": str(x), "value": _value(x)})
     return 0
 
 
 def cmd_orbit(args) -> int:
-    count = _count(args)
-    step = _resolve_step(args)
+    n = _count(args)
+    power = _step_power(args)
     x = parse_point(args.point)
-    for i in range(count + 1):
+    for i in range(abs(n) + 1):
         _emit(args, f"{i}\t{x} = {_value(x)}",
               {"step": i, "point": str(x), "value": _value(x)})
-        if i < count:
-            x = step(x)
+        if i < abs(n):
+            x = power(x, -1 if n < 0 else 1, args.extend_at_max)
     return 0
 
 
@@ -190,31 +175,29 @@ def cmd_factor(args) -> int:
     return 0
 
 
-def _resolve_solenoid_step(args) -> Callable[[solenoid.BiSeq], solenoid.BiSeq]:
+def _solenoid_power(args) -> Callable[[solenoid.BiSeq, int], solenoid.BiSeq]:
+    """The two-sided --map as one function (x, n) -> the n-th image of x;
+    morse and translate are conjugated by --level shifts."""
     if args.map == "shift":
-        return lambda x: solenoid.s_hat(x, -1 if args.inverse else 1)
+        return solenoid.s_hat
     if args.map == "diff":
-        if args.inverse:
-            raise ValueError("map 'diff' is 2-to-1: no --inverse")
-        return solenoid.d_hat
+        _no_inverse(args)
+        return _iterate(solenoid.d_hat)
     if args.map == "translate":
         q = DyadicRational.parse(args.by)
-        if args.inverse:
-            q = DyadicRational(-q.num, q.exp)
-        f = partial(solenoid.q2_translate, q)
-    elif args.inverse:
-        f = partial(solenoid.m_hat_inv, extend_at_min=args.extend_at_max)
+
+        def power(x, n):
+            return solenoid.q2_translate(DyadicRational(n * q.num, q.exp), x)
     else:
-        f = partial(solenoid.m_hat, extend_at_max=args.extend_at_max)
-    return partial(solenoid.conjugate, args.level, f)
+        def power(x, n):
+            return solenoid.m_power(x, n, args.extend_at_max)
+    return lambda x, n: solenoid.conjugate(args.level, partial(power, n=n), x)
 
 
 def cmd_solenoid_step(args) -> int:
-    count = _count(args)
+    n = _count(args)
     x = solenoid.BiSeq.parse(args.point)
-    step = _resolve_solenoid_step(args)
-    for _ in range(count):
-        x = step(x)
+    x = _solenoid_power(args)(x, n)
     coord = solenoid.pi(x)
     _emit(args, f"{x} | y={coord.y} lam={coord.lam}",
           {"point": str(x), "y": str(coord.y), "lam": str(coord.lam)})
@@ -258,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in (("step", cmd_step), ("orbit", cmd_orbit)):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("point")
-        p.add_argument("--map", choices=sorted(_STEP_MAPS), default="morse")
+        p.add_argument("--map", choices=sorted(_STEP_POWERS), default="morse")
         p.add_argument("-n", "--count", type=int, default=1)
         p.add_argument("--inverse", action="store_true")
         p.set_defaults(fn=cmd)

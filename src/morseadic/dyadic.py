@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import xor
 
 from .errors import AlternatingPoint
 
@@ -34,6 +35,15 @@ def _primitive(per: tuple) -> tuple:
         if k % d == 0 and per[:d] * (k // d) == per:
             return per[:d]
     return per
+
+
+def _pack(digits) -> int:
+    """The integer whose binary numeral, most significant digit first,
+    is `digits`."""
+    n = 0
+    for b in digits:
+        n = (n << 1) | b
+    return n
 
 
 def _canonical(pre, per):
@@ -57,12 +67,13 @@ class EpSeq:
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be nonempty")
+        # bools compare equal to 0/1 but would print as True/False
         for b in self.preperiod:
-            if b != 0 and b != 1:
-                raise ValueError("digits must be 0 or 1")
+            if type(b) is not int or (b != 0 and b != 1):
+                raise ValueError("digits must be the ints 0 or 1")
         for b in self.period:
-            if b != 0 and b != 1:
-                raise ValueError("digits must be 0 or 1")
+            if type(b) is not int or (b != 0 and b != 1):
+                raise ValueError("digits must be the ints 0 or 1")
         pre, per = _canonical(self.preperiod, self.period)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
@@ -127,12 +138,8 @@ class EpSeq:
     def to_rational(self) -> Fraction:
         """Exact value sum(x_i 2^i) as a Fraction with odd denominator."""
         m, k = len(self.preperiod), len(self.period)
-        head = 0
-        for b in reversed(self.preperiod):
-            head = (head << 1) | b
-        tail = 0
-        for b in reversed(self.period):
-            tail = (tail << 1) | b
+        head = _pack(reversed(self.preperiod))
+        tail = _pack(reversed(self.period))
         # geometric tail: 2^m * tail / (1 - 2^k), cleared to a positive odd
         # denominator 2^k - 1
         return Fraction(head * ((1 << k) - 1) - (tail << m), (1 << k) - 1)
@@ -190,29 +197,14 @@ def _split(x: EpSeq, n: int):
     return head, (), per[j:] + per[:j]
 
 
-def flip(x: EpSeq) -> EpSeq:
-    return x.flip()
-
-
 def add_one(x: EpSeq) -> EpSeq:
-    """The odometer: flip the leading 1s and the first 0.  The all-ones
-    sequence wraps to all zeros."""
-    m, k = len(x.preperiod), len(x.period)
-    for i in range(m + k):
-        if x.digit(i) == 0:
-            _, tpre, tper = _split(x, i + 1)
-            return EpSeq(tuple([0] * i + [1]) + tpre, tper)
-    return ZERO  # canonical all-ones is exactly "(1)"
+    """The odometer x + 1; the all-ones sequence wraps to all zeros."""
+    return add_integer(x, 1)
 
 
 def subtract_one(x: EpSeq) -> EpSeq:
     """Inverse of add_one; all zeros wraps to all ones."""
-    m, k = len(x.preperiod), len(x.period)
-    for i in range(m + k):
-        if x.digit(i) == 1:
-            _, tpre, tper = _split(x, i + 1)
-            return EpSeq(tuple([1] * i + [0]) + tpre, tper)
-    return MINUS_ONE
+    return add_integer(x, -1)
 
 
 def add_integer(x: EpSeq, t: int) -> EpSeq:
@@ -220,31 +212,28 @@ def add_integer(x: EpSeq, t: int) -> EpSeq:
 
     Python's arithmetic right shift gives the two's-complement digits of
     t, which are its 2-adic digits, so one carry loop covers both signs.
-    Past the preperiod and t's significant bits, the state (period phase,
-    carry) must repeat, which closes the period of the sum.
+    Past t's significant digits every digit of t equals its sign digit,
+    and once the carry equals that digit too, the remaining digits of x
+    come through unchanged and are kept as one slice.  A carry that
+    never settles runs through a constant tail and turns it into the
+    other constant.
     """
-    m, k = len(x.preperiod), len(x.period)
-    start = max(m, abs(t).bit_length() + 1)
+    pre, per = x.preperiod, x.period
+    m, k = len(pre), len(per)
+    n = t.bit_length()
+    sign = 1 if t < 0 else 0
     digits = []
     carry = 0
-    for i in range(start):
-        s = x.digit(i) + ((t >> i) & 1) + carry
+    i = 0
+    while i < n or carry != sign:
+        if i >= n and i >= m and per == (carry,):
+            return EpSeq(tuple(digits), (1 - carry,))
+        s = (pre[i] if i < m else per[(i - m) % k]) + ((t >> i) & 1) + carry
         digits.append(s & 1)
         carry = s >> 1
-    tbit = 1 if t < 0 else 0
-    seen = {}
-    tail = []
-    i = start
-    while True:
-        key = ((i - m) % k, carry)
-        if key in seen:
-            cut = seen[key]
-            return EpSeq(tuple(digits) + tuple(tail[:cut]), tuple(tail[cut:]))
-        seen[key] = len(tail)
-        s = x.digit(i) + tbit + carry
-        tail.append(s & 1)
-        carry = s >> 1
         i += 1
+    _, tpre, tper = _split(x, i)
+    return EpSeq(tuple(digits) + tpre, tper)
 
 
 def differentiate(x: EpSeq) -> EpSeq:
@@ -253,10 +242,10 @@ def differentiate(x: EpSeq) -> EpSeq:
     Constant sequences map to all zeros, alternating ones to all ones,
     and a sequence and its flip have the same image.
     """
-    m, k = len(x.preperiod), len(x.period)
-    pre = tuple(x.digit(i) ^ x.digit(i + 1) for i in range(m))
-    per = tuple(x.digit(m + i) ^ x.digit(m + i + 1) for i in range(k))
-    return EpSeq(pre, per)
+    pre, per = x.preperiod, x.period
+    seq = pre + per + per[:1]
+    d = tuple(map(xor, seq, seq[1:]))
+    return EpSeq(d[: len(pre)], d[len(pre) :])
 
 
 def integrate(y: EpSeq, x0: int) -> EpSeq:

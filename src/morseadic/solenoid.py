@@ -14,11 +14,16 @@ any dyadic rational (q2_translate), which together realize an action of
 the group of dyadic rationals.
 
 m_hat moves the right half one successor step and flips the left half
-exactly when the step changes digit 0's parity, i.e. when
-step_parity(right) is 1.  That choice is forced: it is the only
-extension commuting with d_hat in the sense t_hat(d_hat(x)) ==
-d_hat(m_hat(x)) while restricting to the one-sided successor on points
-with zero left half.
+exactly when the step changes the right half's digit 0.  That choice is
+forced: it is the only extension commuting with d_hat in the sense
+t_hat(d_hat(x)) == d_hat(m_hat(x)) while restricting to the one-sided
+successor on points with zero left half.  The per-step flips telescope,
+so m_power jumps n steps at once: morse_power moves the right half, and
+the left half flips iff the jump changes the right half's digit 0.
+adic.step_parity, which reads the same flip off the differentiated
+point, stays the independent reference: verify's coord-lambda check and
+the left-flip-rule test compare m_hat against it, and the parity-law
+check ties it to the integer step theta.
 """
 
 from __future__ import annotations
@@ -33,12 +38,13 @@ from . import dyadic
 from .dyadic import (
     DyadicRational,
     EpSeq,
+    _pack,
     _split,
     add_integer,
     add_one,
     differentiate,
 )
-from .adic import morse_predecessor, morse_successor, step_parity
+from .adic import morse_power
 
 _LITERAL = re.compile(r"^\(([01]+)\)([01]*)\.([01]*\([01]+\))$")
 
@@ -98,12 +104,7 @@ def pi(x: BiSeq) -> SolenoidCoord:
     double binary expansions (an all-ones left gives lam = 1 = 0)."""
     pre, per = x.left.preperiod, x.left.period
     m, k = len(pre), len(per)
-    head = 0
-    for b in pre:
-        head = head * 2 + b
-    tail = 0
-    for b in per:
-        tail = tail * 2 + b
+    head, tail = _pack(pre), _pack(per)  # read outward: most significant first
     lam = Fraction(head * ((1 << k) - 1) + tail, (1 << m) * ((1 << k) - 1))
     return SolenoidCoord(x.right, lam % 1)
 
@@ -136,34 +137,46 @@ def conjugate(i: int, f: Callable[[BiSeq], BiSeq], x: BiSeq) -> BiSeq:
 def d_hat(x: BiSeq) -> BiSeq:
     """Two-sided differentiation: digit n of the result is
     digit(x, n) xor digit(x, n+1) for every n, so d_hat(flip(x)) ==
-    d_hat(x) and the right half is differentiate(right)."""
-    pre, per = x.left.preperiod, x.left.period
-    m, k = len(pre), len(per)
-    digits = [x.digit(-1 - j) ^ x.digit(-j) for j in range(m + k + 1)]
-    left = EpSeq(tuple(digits[: m + 1]), tuple(digits[m + 1 :]))
-    return BiSeq(left, differentiate(x.right))
+    d_hat(x) and the right half is differentiate(right).  The left half
+    is the one-sided difference of x_0 x_{-1} x_{-2} ..."""
+    left = EpSeq((x.right.digit(0),) + x.left.preperiod, x.left.period)
+    return BiSeq(differentiate(left), differentiate(x.right))
+
+
+def m_power(x: BiSeq, n: int, extend: bool = False) -> BiSeq:
+    """The n-th iterate of m_hat (n < 0: of m_hat_inv) in closed form.
+
+    The right half jumps with morse_power; each step flips the left half
+    iff it changes the right half's digit 0, so the flips telescope and
+    the left half flips iff the jump changes that digit.  A jump past the
+    end of a semiorbit raises what n single steps would raise there,
+    unless extend is set.
+    """
+    right = morse_power(x.right, n, extend)
+    if right.digit(0) != x.right.digit(0):
+        return BiSeq(x.left.flip(), right)
+    return BiSeq(x.left, right)
 
 
 def m_hat(x: BiSeq, extend_at_max: bool = False) -> BiSeq:
-    """Extended successor: right steps to its successor, left flips iff
-    the step flips digit 0's parity (step_parity(right) == 1).
+    """Extended successor m_power(x, 1): right steps to its successor,
+    left flips iff the step changes digit 0 of the right half.  That is
+    the flip step_parity(right) reads off the differentiated point;
+    step_parity stays the independent reference that verify's
+    coord-lambda check and the left-flip-rule test compare m_hat against.
 
     Unique extension satisfying t_hat(d_hat(x)) == d_hat(m_hat(x)) and
     restricting to morse_successor on zero-left points.  Raises MaxPoint
     when the right half is alternating, unless extend_at_max.
     """
-    par = step_parity(x.right)
-    right = morse_successor(x.right, extend_at_max=extend_at_max)
-    return BiSeq(x.left.flip() if par else x.left, right)
+    return m_power(x, 1, extend_at_max)
 
 
 def m_hat_inv(x: BiSeq, extend_at_min: bool = False) -> BiSeq:
-    """Inverse of m_hat: right steps back, left unflips by the parity
-    of the new right.  Raises MinPoint when the right half is constant,
-    unless extend_at_min."""
-    right = morse_predecessor(x.right, extend_at_min=extend_at_min)
-    par = step_parity(right)
-    return BiSeq(x.left.flip() if par else x.left, right)
+    """Inverse of m_hat, m_power(x, -1): right steps back, left unflips
+    by the same digit-0 rule.  Raises MinPoint when the right half is
+    constant, unless extend_at_min."""
+    return m_power(x, -1, extend_at_min)
 
 
 def t_family(i: int, x: BiSeq) -> BiSeq:

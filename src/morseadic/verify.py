@@ -20,10 +20,8 @@ from . import substitution
 from .dyadic import (
     DyadicRational,
     EpSeq,
-    add_integer,
     add_one,
     differentiate,
-    flip,
     integrate,
     shift_drop,
 )
@@ -131,14 +129,14 @@ def suite_diagrams(samples: int = 1000, seed: int = 0, integer_span: int = 2**8)
         x0 = integrate(differentiate(x), x.digit(0))
         rep.check(f"integrate-roundtrip:{lit}", x, x0)
         rep.check(f"integrate-flip:{lit}",
-                  flip(x0),
+                  x0.flip(),
                   integrate(differentiate(x), 1 - x.digit(0)))
         if x.is_max():
             rep.excluded += 1
             continue
         mx = morse_successor(x)
         rep.check(f"diff-step:{lit}", add_one(differentiate(x)), differentiate(mx))
-        rep.check(f"flip-step:{lit}", morse_successor(flip(x)), flip(mx))
+        rep.check(f"flip-step:{lit}", morse_successor(x.flip()), mx.flip())
         rep.check(f"skew-route:{lit}", mx, f_inv(skew_step(f_map(x))))
         rep.check(f"parity-law:{lit}", step_parity(x), theta(x) % 2)
         rep.check(f"step-inverse:{lit}", x, morse_predecessor(mx))

@@ -7,8 +7,23 @@ from pathlib import Path
 
 import pytest
 
-from morseadic import EpSeq, add_one, morse_predecessor, morse_successor, subtract_one
+from morseadic import (
+    BiSeq,
+    DomainError,
+    DyadicRational,
+    EpSeq,
+    add_one,
+    m_hat,
+    m_hat_inv,
+    morse_predecessor,
+    morse_successor,
+    pi,
+    q2_translate,
+    s_hat,
+    subtract_one,
+)
 from morseadic.cli import main, parse_point
+from morseadic.solenoid import conjugate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -87,6 +102,12 @@ class TestStep:
         code, _, err = run(capsys, "step", "5", "--map", "diff", "--inverse")
         assert code == 2
         assert "2-to-1" in err
+
+    def test_differentiate_alias_removed(self, capsys):
+        code, out, err = run(capsys, "step", "5", "--map", "differentiate")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'differentiate'" in err
 
     def test_skew_route_matches_direct(self, capsys):
         code_a, out_a, _ = run(capsys, "step", "11", "--map", "skew")
@@ -234,6 +255,33 @@ class TestSolenoidStep:
         code, _, err = run(capsys, "solenoid-step", "(0).(01)")
         assert code == 3
 
+    @pytest.mark.parametrize("point,flags,step", [
+        ("(011)1.01(001)", ["--level", "-3"], lambda x: conjugate(-3, m_hat, x)),
+        ("(011)1.01(001)", ["--level", "2", "--inverse"],
+         lambda x: conjugate(2, m_hat_inv, x)),
+        ("(10)01.1(10)", ["--level", "-3", "--extend-at-max"],
+         lambda x: conjugate(-3, lambda y: m_hat(y, extend_at_max=True), x)),
+        ("(10)01.1(10)", ["--level", "-3"], lambda x: conjugate(-3, m_hat, x)),
+        ("(0).(01)", ["--extend-at-max"], lambda x: m_hat(x, extend_at_max=True)),
+        ("(0).(0)", ["--level", "2", "--inverse", "--extend-at-max"],
+         lambda x: conjugate(2, lambda y: m_hat_inv(y, extend_at_min=True), x)),
+        ("(011)1.01(001)", ["--map", "translate", "--by=-3/8", "--level", "2"],
+         lambda x: conjugate(2, lambda y: q2_translate(DyadicRational(-3, 3), y), x)),
+        ("(011)1.01(001)", ["--map", "shift"], lambda x: s_hat(x, 1)),
+        ("(011)1.01(001)", ["--map", "shift", "--inverse"], lambda x: s_hat(x, -1)),
+    ])
+    def test_far_count_matches_iteration(self, capsys, point, flags, step):
+        x = BiSeq.parse(point)
+        try:
+            for _ in range(4096):
+                x = step(x)
+        except DomainError as exc:
+            want = 3, "", f"error: {exc}\n"
+        else:
+            c = pi(x)
+            want = 0, f"{x} | y={c.y} lam={c.lam}\n", ""
+        assert run(capsys, "solenoid-step", point, "-n", "4096", *flags) == want
+
     def test_translate_by_zero_denominator(self, capsys):
         code, out, err = run(capsys, "solenoid-step", "(0).(0)",
                              "--map", "translate", "--by", "1/0")
@@ -265,6 +313,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "arithmetic", "--samples", "30")
         assert code == 0
         assert len(out.strip().splitlines()) == 1
+
+    def test_golden_counts(self, capsys):
+        # cases/failures/excluded per suite; a refactor must leave them as is
+        code, out, _ = run(capsys, "verify", "--format", "json-lines",
+                           "--samples", "200", "--seed", "42")
+        assert code == 0
+        counts = {}
+        for line in out.splitlines():
+            rec = json.loads(line)
+            counts[rec["suite"]] = (rec["cases"], len(rec["failures"]), rec["excluded"])
+        assert counts == {"diagrams": (7001, 0, 32), "arithmetic": (1215, 0, 11),
+                          "solenoid": (5115, 0, 69)}
 
     @pytest.mark.parametrize("samples", ["-3", "0"])
     def test_nonpositive_samples_rejected(self, capsys, samples):

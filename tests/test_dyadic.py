@@ -17,7 +17,6 @@ from morseadic import (
     differentiate,
     double,
     first_pair_index,
-    flip,
     integrate,
     shift_drop,
     subtract_one,
@@ -45,6 +44,14 @@ class TestCanonicalForm:
             EpSeq((2,), (0,))
         with pytest.raises(ValueError):
             EpSeq((), ())
+
+    @pytest.mark.parametrize("pre,per", [
+        ((True,), (0,)), ((), (False,)), (("1",), (0,)), ((), ("0",)), ((1.0,), (0,)),
+    ])
+    def test_rejects_digits_that_are_not_ints(self, pre, per):
+        # True == 1, but a bool digit would print as "True"
+        with pytest.raises(ValueError, match="digits must be the ints 0 or 1"):
+            EpSeq(pre, per)
 
 
 class TestLiterals:
@@ -128,20 +135,20 @@ class TestDigitsAndPredicates:
 
     @given(ep_seqs())
     def test_never_cofinal_with_flip(self, x):
-        assert not x.is_cofinal(flip(x))
+        assert not x.is_cofinal(x.flip())
 
 
 class TestFlip:
     def test_integer_flip(self):
-        assert flip(EpSeq.from_integer(5)) == EpSeq.from_integer(-6)
+        assert EpSeq.from_integer(5).flip() == EpSeq.from_integer(-6)
 
     @given(ep_seqs())
     def test_value_law(self, x):
-        assert flip(x).to_rational() == -x.to_rational() - 1
+        assert x.flip().to_rational() == -x.to_rational() - 1
 
     @given(ep_seqs())
     def test_involution(self, x):
-        assert flip(flip(x)) == x
+        assert x.flip().flip() == x
 
 
 class TestOdometer:
@@ -163,6 +170,10 @@ class TestOdometer:
             y = step(y)
         assert add_integer(x, t) == y
 
+    @given(ep_seqs(), st.integers(-(2**40), 2**40))
+    def test_add_integer_value(self, x, t):
+        assert add_integer(x, t).to_rational() == x.to_rational() + t
+
     @given(small_ints, st.integers(-(2**20), 2**20))
     def test_add_integer_on_integers(self, n, t):
         assert add_integer(EpSeq.from_integer(n), t) == EpSeq.from_integer(n + t)
@@ -176,7 +187,7 @@ class TestDifferentiation:
 
     @given(ep_seqs())
     def test_flip_invariance(self, y):
-        assert differentiate(flip(y)) == differentiate(y)
+        assert differentiate(y.flip()) == differentiate(y)
 
     def test_constant_points_differentiate_to_zero(self):
         assert differentiate(ZERO) == ZERO
@@ -191,7 +202,7 @@ class TestDifferentiation:
 
     @given(ep_seqs())
     def test_two_preimages_are_flips(self, y):
-        assert integrate(y, 1) == flip(integrate(y, 0))
+        assert integrate(y, 1) == integrate(y, 0).flip()
 
 
 class TestShifts:

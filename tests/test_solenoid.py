@@ -21,6 +21,8 @@ from morseadic import (
     m_family,
     m_hat,
     m_hat_inv,
+    m_power,
+    morse_predecessor,
     morse_successor,
     pi,
     q2_translate,
@@ -29,7 +31,7 @@ from morseadic import (
     t_family,
     t_hat,
 )
-from conftest import bi_seqs
+from conftest import bi_seqs, ep_seqs
 
 
 def biseq(text: str) -> BiSeq:
@@ -195,6 +197,49 @@ class TestExtendedSuccessor:
             assert out == (1 - lam) % 1
         else:
             assert out == lam
+
+
+_ENDS = (ZERO, MINUS_ONE, ALT_01, ALT_10)
+
+
+def _walk(x, j):
+    """j extended one-sided steps from x (predecessors when j < 0)."""
+    for _ in range(abs(j)):
+        if j > 0:
+            x = morse_successor(x, extend_at_max=True)
+        else:
+            x = morse_predecessor(x, extend_at_min=True)
+    return x
+
+
+def _iterate_m_hat(x, n, extend):
+    for _ in range(abs(n)):
+        if n > 0:
+            x = m_hat(x, extend_at_max=extend)
+        else:
+            x = m_hat_inv(x, extend_at_min=extend)
+    return x
+
+
+def _outcome(f, *args):
+    """The result, or the type and message of the domain error raised."""
+    try:
+        return f(*args)
+    except (MaxPoint, MinPoint) as exc:
+        return type(exc), str(exc)
+
+
+near_ends = st.builds(_walk, st.sampled_from(_ENDS), st.integers(-8, 8))
+
+
+class TestMPower:
+    @settings(max_examples=400)
+    @given(ep_seqs(), st.one_of(ep_seqs(), near_ends), st.integers(-64, 64),
+           st.booleans())
+    def test_agrees_with_iteration(self, left, right, n, extend):
+        x = BiSeq(left, right)
+        assert _outcome(m_power, x, n, extend) == \
+            _outcome(_iterate_m_hat, x, n, extend)
 
 
 class TestFamilies:
