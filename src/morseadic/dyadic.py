@@ -46,8 +46,11 @@ def _pack(digits) -> int:
     return n
 
 
-def _canonical(pre, per):
-    per = _primitive(tuple(per))
+def _canonical(pre: tuple, per: tuple):
+    if len(per) > 1:
+        per = _primitive(per)
+    if not pre or pre[-1] != per[-1]:
+        return pre, per
     pre = list(pre)
     # Fold a preperiod digit that matches the period's last digit into a
     # right-rotation of the period; repeats until the form is unique.
@@ -57,24 +60,29 @@ def _canonical(pre, per):
     return tuple(pre), per
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EpSeq:
-    """An eventually periodic 0/1 sequence in canonical form."""
+    """An eventually periodic 0/1 sequence in canonical form.
 
-    preperiod: tuple = ()
-    period: tuple = (0,)
+    The constructor is the only way to build one: every construction
+    checks every digit and canonicalizes, whichever function builds it.
+    """
 
-    def __post_init__(self):
-        if not self.period:
+    preperiod: tuple
+    period: tuple
+
+    def __init__(self, preperiod=(), period=(0,)):
+        pre, per = tuple(preperiod), tuple(period)
+        if not per:
             raise ValueError("period must be nonempty")
         # bools compare equal to 0/1 but would print as True/False
-        for b in self.preperiod:
+        for b in pre:
             if type(b) is not int or (b != 0 and b != 1):
                 raise ValueError("digits must be the ints 0 or 1")
-        for b in self.period:
+        for b in per:
             if type(b) is not int or (b != 0 and b != 1):
                 raise ValueError("digits must be the ints 0 or 1")
-        pre, per = _canonical(self.preperiod, self.period)
+        pre, per = _canonical(pre, per)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 
@@ -185,9 +193,19 @@ ALT_01 = EpSeq((), (0, 1))  # value -2/3
 ALT_10 = EpSeq((), (1, 0))  # value -1/3
 
 
+def _tail(x: EpSeq, n: int):
+    """(preperiod, period) of the tail of x starting at index n."""
+    pre, per = x.preperiod, x.period
+    if n <= len(pre):
+        return pre[n:], per
+    j = (n - len(pre)) % len(per)
+    return (), per[j:] + per[:j]
+
+
 def _split(x: EpSeq, n: int):
     """First n digits as a list, plus (preperiod, period) of the tail
-    starting at index n."""
+    starting at index n.  Computes the tail inline rather than through
+    _tail: every successor step and carry runs through here."""
     pre, per = x.preperiod, x.period
     m, k = len(pre), len(per)
     if n <= m:
@@ -310,9 +328,13 @@ class DyadicRational:
         if self.exp < 0:
             raise ValueError("exponent must be nonnegative")
         num, exp = self.num, self.exp
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        if num == 0:
+            exp = 0
+        else:
+            # strip the common factors of two with one shift
+            twos = min(exp, (num & -num).bit_length() - 1)
+            num >>= twos
+            exp -= twos
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

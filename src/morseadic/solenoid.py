@@ -40,6 +40,7 @@ from .dyadic import (
     EpSeq,
     _pack,
     _split,
+    _tail,
     add_integer,
     add_one,
     differentiate,
@@ -118,15 +119,50 @@ def s_hat(x: BiSeq, k: int = 1) -> BiSeq:
     """k-fold two-sided shift: digit(result, n) = digit(x, n - k).
     k = 1 multiplies the point by 2 (lam doubles mod 1, y gains the
     carried digit); unlike the one-sided shift this is invertible.
+
     The |k| digits that cross the binary point leave one half in a
-    single slice and are prepended, nearest first, to the other."""
+    single slice and are prepended, nearest first, to the other.  When
+    they only continue the receiving half's period backwards, they all
+    fold into it: the period rotates and nothing is built, so the cost
+    is O(size of x) for any k.  Otherwise the crossing digits that do
+    not fold stay in the receiving half's preperiod, and the result
+    inherently holds about |k| digits.
+    """
     if k == 0:
         return x
     src, dst = (x.left, x.right) if k > 0 else (x.right, x.left)
-    head, tpre, tper = _split(src, abs(k))
-    rest = EpSeq(tpre, tper)
-    grown = EpSeq(tuple(reversed(head)) + dst.preperiod, dst.period)
+    n = abs(k)
+    if _folds(src, dst, n):
+        per = dst.period
+        r = n % len(per)
+        rest = EpSeq(*_tail(src, n))
+        grown = EpSeq((), per[-r:] + per[:-r])
+    else:
+        head, tpre, tper = _split(src, n)
+        rest = EpSeq(tpre, tper)
+        grown = EpSeq(tuple(reversed(head)) + dst.preperiod, dst.period)
     return BiSeq(rest, grown) if k > 0 else BiSeq(grown, rest)
+
+
+def _folds(src: EpSeq, dst: EpSeq, n: int) -> bool:
+    """True when canonicalizing dst with src's first n digits prepended
+    (src digit 0 nearest dst) folds every one of them into dst's period.
+
+    The fold pops dst's preperiod first, whose last digit never matches
+    (dst is canonical), then src's digit j against the last digit of
+    dst's period rotated right j times.  Both sides are periodic once j
+    passes src's preperiod, so by the Fine-Wilf theorem agreement on
+    len(src.period) + len(dst.period) digits there settles every later
+    digit too, and the walk is O(size) whatever n is.
+    """
+    if dst.preperiod:
+        return False
+    per = dst.period
+    p = len(per)
+    for j in range(min(n, len(src.preperiod) + len(src.period) + p)):
+        if src.digit(j) != per[-1 - j % p]:
+            return False
+    return True
 
 
 def conjugate(i: int, f: Callable[[BiSeq], BiSeq], x: BiSeq) -> BiSeq:

@@ -16,7 +16,7 @@ from morseadic import (
     theta_level_counts,
     time_change_check,
 )
-from morseadic.verify import MORSE_TABLE
+from morseadic.verify import MORSE_TABLE, level_census
 
 
 class TestStepSizes:
@@ -173,6 +173,19 @@ class TestLevelCounts:
                 assert brute[k] == expected[k]
             tail = sum(v for k, v in brute.items() if k >= m)
             assert tail == 2
+
+    def test_one_pass_census_matches_nested_loop(self):
+        # the per-m enumeration verify ran before the one-pass census
+        oracle = {}
+        for m in range(2, 13):
+            counts: dict[int, int] = {}
+            for bits in range(1 << m):
+                for k in range(1, m):
+                    if (bits >> (k - 1)) & 1 == (bits >> k) & 1:
+                        counts[k] = counts.get(k, 0) + 1
+                        break
+            oracle[m] = counts
+        assert level_census() == oracle
 
     def test_total(self):
         for m in range(2, 21):

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,19 @@ class TestSolenoidStep:
         code, out, _ = run(capsys, "solenoid-step", "(0)1.(0)", "--map", "shift")
         assert code == 0
         assert out.strip().startswith("(0).1(0)")
+
+    def test_far_shift_folds(self, capsys):
+        # without the fold, 10**9 digits would exhaust memory: fail fast
+        # on a size whose materialized shift takes about a second
+        start = time.perf_counter()
+        assert s_hat(BiSeq.parse("(0).(0)"), 10**6) == BiSeq()
+        assert time.perf_counter() - start < 0.1
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "solenoid-step", "(0).(0)", "--map", "shift",
+                           "-n", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == "(0).(0) | y=(0) lam=0\n"
 
     def test_diff_inverse_rejected(self, capsys):
         code, _, err = run(capsys, "solenoid-step", "(0).(0)", "--map", "diff", "--inverse")

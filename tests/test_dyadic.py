@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,36 @@ class TestCanonicalForm:
             EpSeq((2,), (0,))
         with pytest.raises(ValueError):
             EpSeq((), ())
+
+    @given(st.lists(st.integers(0, 1), max_size=8),
+           st.lists(st.integers(0, 1), min_size=1, max_size=8))
+    def test_raw_digits_build_the_canonical_point(self, pre, per):
+        # raw digits, so periods may repeat and preperiods may fold
+        m, k = len(pre), len(per)
+        head = sum(b << i for i, b in enumerate(pre))
+        tail = sum(b << i for i, b in enumerate(per))
+        value = head + Fraction(tail << m, 1 - (1 << k))
+        x = EpSeq(tuple(pre), tuple(per))
+        assert x == EpSeq.from_rational(value.numerator, value.denominator)
+        assert EpSeq.parse(str(x)) == x
+        assert x == EpSeq(pre, per)  # lists are accepted as digit sequences
+
+    @pytest.mark.parametrize("pre,per,canon", [
+        ((), (0,), ((), (0,))),
+        ((1, 0, 1), (0,), ((1, 0, 1), (0,))),
+        ((0, 1, 0, 1), (0, 1, 0, 1), ((), (0, 1))),
+        ((1, 1), (0, 1, 1, 0, 1, 1), ((), (1, 1, 0))),
+        ((0, 1), (1,), ((0,), (1,))),
+    ])
+    def test_repr_eq_hash(self, pre, per, canon):
+        x = EpSeq(pre, per)
+        assert repr(x) == f"EpSeq(preperiod={canon[0]!r}, period={canon[1]!r})"
+        assert (x.preperiod, x.period) == canon
+        assert x == EpSeq(*canon) and not x != EpSeq(*canon)
+        assert hash(x) == hash(EpSeq(*canon)) == hash(canon)
+
+    def test_defaults_are_zero(self):
+        assert EpSeq() == EpSeq(()) == ZERO
 
     @pytest.mark.parametrize("pre,per", [
         ((True,), (0,)), ((), (False,)), (("1",), (0,)), ((), ("0",)), ((1.0,), (0,)),
@@ -258,6 +289,21 @@ class TestDyadicRational:
     def test_normalization(self):
         assert DyadicRational(4, 3) == DyadicRational(1, 1)
         assert DyadicRational(0, 7) == DyadicRational(0, 0)
+
+    @given(st.integers(-(2**70), 2**70), st.integers(0, 80))
+    def test_normalization_is_lowest_terms(self, num, exp):
+        q = DyadicRational(num, exp)
+        assert Fraction(q.num, 1 << q.exp) == Fraction(num, 1 << exp)
+        assert q.exp == 0 or q.num % 2 == 1
+
+    @pytest.mark.parametrize("num,exp,want", [
+        (3 << 200000, 200000, (3, 0)), (0, 10**7, (0, 0)), (-12, 5, (-3, 3)),
+    ], ids=["3<<200000", "zero", "small"])
+    def test_normalization_cost_does_not_grow_with_exp(self, num, exp, want):
+        start = time.perf_counter()
+        q = DyadicRational(num, exp)
+        assert time.perf_counter() - start < 0.1
+        assert (q.num, q.exp) == want
 
     @pytest.mark.parametrize("text,num,exp", [
         ("1", 1, 0), ("-3/8", -3, 3), ("5/2", 5, 1), ("0", 0, 0),

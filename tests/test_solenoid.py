@@ -1,6 +1,7 @@
 """Two-sided sequences: the invertible shift, translations, and the
 extended successor acting on them."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,11 +32,34 @@ from morseadic import (
     t_family,
     t_hat,
 )
+from morseadic.dyadic import _split
 from conftest import bi_seqs, ep_seqs
 
 
 def biseq(text: str) -> BiSeq:
     return BiSeq.parse(text)
+
+
+def materialized_shift(x: BiSeq, k: int) -> BiSeq:
+    """s_hat as first written: build all |k| crossing digits, then let
+    the constructor canonicalize."""
+    src, dst = (x.left, x.right) if k > 0 else (x.right, x.left)
+    head, tpre, tper = _split(src, abs(k))
+    rest = EpSeq(tpre, tper)
+    grown = EpSeq(tuple(reversed(head)) + dst.preperiod, dst.period)
+    return BiSeq(rest, grown) if k > 0 else BiSeq(grown, rest)
+
+
+@st.composite
+def two_sided_periodic(draw) -> BiSeq:
+    """A shift of ...www.www..., whose crossing digits fold, with at
+    most a few stray digits on one side so that some folds stop."""
+    w = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=6)))
+    x = s_hat(BiSeq(EpSeq((), w[::-1]), EpSeq((), w)), draw(st.integers(-8, 8)))
+    stray = tuple(draw(st.lists(st.integers(0, 1), max_size=3)))
+    if draw(st.booleans()):
+        return BiSeq(EpSeq(stray + x.left.preperiod, x.left.period), x.right)
+    return BiSeq(x.left, EpSeq(stray + x.right.preperiod, x.right.period))
 
 
 class TestLiterals:
@@ -108,6 +132,23 @@ class TestShift:
     @given(bi_seqs(), st.integers(-64, 64))
     def test_invertible(self, x, k):
         assert s_hat(s_hat(x, k), -k) == x
+
+    @given(st.one_of(bi_seqs(), two_sided_periodic()), st.integers(-256, 256))
+    def test_folds_like_materialized_shift(self, x, k):
+        assert s_hat(x, k) == materialized_shift(x, k)
+
+    @pytest.mark.parametrize("text,k,want", [
+        ("(0).(0)", 10**6, "(0).(0)"),
+        ("(01).(01)", 10**6 + 1, "(10).(10)"),
+        ("(011).(011)", -(10**6), "(110).(110)"),
+        ("(011).(011)", 10**6 + 2, "(011).(011)"),
+    ])
+    def test_far_shift_of_periodic_point(self, text, k, want):
+        # k modulo the period gives the same point; materializing the
+        # crossing digits would take about a second here
+        start = time.perf_counter()
+        assert str(s_hat(biseq(text), k)) == want
+        assert time.perf_counter() - start < 0.1
 
     @given(bi_seqs())
     def test_lambda_doubles(self, x):
