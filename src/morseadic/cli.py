@@ -9,6 +9,9 @@ subcommand.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 domain error (stepping an alternating/constant point without
 --extend-at-max).
+
+`main` can be called repeatedly in one process: the parser is built on
+the first call and reused, and each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ import argparse
 import json
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .dyadic import (
     DyadicRational,
     EpSeq,
+    _tail,
     add_integer,
     differentiate,
     double,
@@ -82,7 +86,7 @@ _STEP_POWERS = {
                      lambda x: f_inv(skew_unstep(f_map(x)))),
     "odometer": lambda x, n, e: add_integer(x, n),
     "diff": _iterate(differentiate),
-    "shift": _iterate(shift_drop),
+    "shift": lambda x, n, e: EpSeq(*_tail(x, n)),
     "double": _iterate(double, _halve),
 }
 
@@ -126,7 +130,8 @@ def cmd_step(args) -> int:
     n = _count(args)
     power = _step_power(args)
     x = power(parse_point(args.point), n, args.extend_at_max)
-    _emit(args, f"{x} = {_value(x)}", {"point": str(x), "value": _value(x)})
+    text, value = str(x), _value(x)
+    _emit(args, f"{text} = {value}", {"point": text, "value": value})
     return 0
 
 
@@ -135,8 +140,9 @@ def cmd_orbit(args) -> int:
     power = _step_power(args)
     x = parse_point(args.point)
     for i in range(abs(n) + 1):
-        _emit(args, f"{i}\t{x} = {_value(x)}",
-              {"step": i, "point": str(x), "value": _value(x)})
+        text, value = str(x), _value(x)
+        _emit(args, f"{i}\t{text} = {value}",
+              {"step": i, "point": text, "value": value})
         if i < abs(n):
             x = power(x, -1 if n < 0 else 1, args.extend_at_max)
     return 0
@@ -149,8 +155,9 @@ def cmd_table(args) -> int:
         print("n\tM\tr\tcase\ttheta\tparity")
     for n in range(args.start, args.end + 1):
         m = morse_int(n)
-        tag = classify(EpSeq.from_integer(n))
-        th = theta(EpSeq.from_integer(n))
+        x = EpSeq.from_integer(n)
+        tag = classify(x)
+        th = theta(x)
         parity = (m - n) % 2
         _emit(args,
               f"{n}\t{m}\t{tag.r}\t{tag.case}\t{th:+d}\t{parity}",
@@ -218,7 +225,10 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no
+    state between calls, so every main call can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["plain", "json-lines"],
                         default="plain")

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line entry point."""
 
 import json
+import random
 import re
 import shlex
 import time
@@ -21,10 +22,13 @@ from morseadic import (
     pi,
     q2_translate,
     s_hat,
+    shift_drop,
     subtract_one,
 )
+from morseadic import cli
 from morseadic.cli import main, parse_point
 from morseadic.solenoid import conjugate
+from morseadic.verify import random_epseq
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -150,6 +154,34 @@ class TestStep:
         assert code == 2
         assert out == ""
         assert "count must be nonnegative" in err
+
+
+def _random_literals(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    return [str(random_epseq(rng)) for _ in range(count)]
+
+
+class TestShiftPower:
+    # random_epseq points, integers and the four ends
+    POINTS = _random_literals(7, 12) + ["0", "5", "-6", "1/3", "(0)", "(1)", "(01)", "(10)"]
+
+    @pytest.mark.parametrize("lit", POINTS)
+    def test_matches_iteration(self, capsys, lit):
+        x = parse_point(lit)
+        for n in range(65):
+            code, out, _ = run(capsys, "step", lit, "--map", "shift", "-n", str(n))
+            assert code == 0
+            assert out == f"{x} = {x.to_rational()}\n", n
+            x = shift_drop(x)
+
+    def test_far_count_is_immediate(self, capsys):
+        # past the preperiod 01, the tail at 10**9 starts 2 digits into (001)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "step", "01(001)", "--map", "shift",
+                           "-n", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == "(100) = -1/7\n"
 
 
 class TestOrbit:
@@ -354,6 +386,53 @@ class TestUsageErrors:
 
     def test_missing_argument(self, capsys):
         assert run(capsys, "step")[0] == 2
+
+
+class TestParserReuse:
+    # one process, one parser: every call must answer as on a fresh parser
+    ARGV = (
+        ["tm", "8"],
+        ["step", "2"],
+        ["step", "5", "--inverse"],
+        ["step", "(10)"],
+        ["step", "(10)", "--extend-at-max"],
+        ["step", "5", "-n", "x"],
+        ["step", "6", "--map", "double", "--inverse", "--format", "json-lines"],
+        ["step", "5", "--map", "diff", "--inverse"],
+        ["orbit", "0", "-n", "3", "--format", "json-lines"],
+        ["orbit", "(01)", "-n", "2", "--inverse", "--extend-at-max"],
+        ["table", "-2", "3"],
+        ["code", "0", "-4", "3", "--extend-at-max"],
+        ["factor", "1001", "--format", "json-lines"],
+        ["solenoid-step", "(0).(0)", "--level", "2"],
+        ["solenoid-step", "(0).(0)", "--map", "translate", "--by", "1/0"],
+        ["solenoid-step", "(0).(01)"],
+        ["verify", "--samples", "5"],
+        ["--help"],
+        ["step", "--help"],
+        ["nonsense"],
+    )
+
+    @staticmethod
+    def _outcomes(capsys, order, fresh=False):
+        seen = {}
+        for i in order:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code, out, err = run(capsys, *TestParserReuse.ARGV[i])
+            seen[i] = code, re.sub(r"wall_time=\S+", "", out), err
+        return seen
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_order_does_not_matter(self, capsys):
+        order = list(range(len(self.ARGV)))
+        alone = self._outcomes(capsys, order, fresh=True)
+        assert {code for code, _, _ in alone.values()} == {0, 2, 3}
+        for seed in range(5):
+            random.Random(seed).shuffle(order)
+            assert self._outcomes(capsys, order) == alone, seed
 
 
 # README command lines whose trailing comment is their exact output
