@@ -20,19 +20,12 @@ import argparse
 import json
 import re
 import sys
-from functools import cache, partial
+from decimal import Decimal
+from functools import cache
 from typing import Callable
 
-from .dyadic import (
-    DyadicRational,
-    EpSeq,
-    _tail,
-    add_integer,
-    differentiate,
-    double,
-    shift_drop,
-)
-from .adic import f_inv, f_map, morse_power, skew_step, skew_unstep
+from .dyadic import ZERO, DyadicRational, EpSeq, _tail, add_integer, differentiate
+from .adic import morse_power
 from .arith import classify, morse_int, theta
 from .errors import DomainError
 from . import solenoid, substitution, verify
@@ -50,8 +43,13 @@ def parse_point(text: str) -> EpSeq:
     return EpSeq.parse(text)
 
 
-def _value(x: EpSeq) -> str:
-    return str(x.to_rational())
+def _exact(q) -> str:
+    """str(q) for a Fraction, past str(int)'s 4300-digit limit too."""
+    try:
+        return str(q)
+    except ValueError:
+        num, den = Decimal(q.numerator), Decimal(q.denominator)
+        return f"{num}" if den == 1 else f"{num}/{den}"
 
 
 def _emit(args, plain: str, record: dict) -> None:
@@ -61,33 +59,38 @@ def _emit(args, plain: str, record: dict) -> None:
         print(plain)
 
 
-def _halve(x: EpSeq) -> EpSeq:
-    if x.digit(0) == 1:
-        raise DomainError(f"{x} is odd: not in the image of doubling")
-    return shift_drop(x)
-
-
-def _iterate(step, unstep=None):
-    """The n-step function of a map with no closed form: n single steps,
-    or |n| steps of the inverse when n < 0."""
+def _iterate(step):
+    """The n-step function of a 2-to-1 map with no closed form: n single
+    steps (n is never negative, as such a map takes no --inverse)."""
     def power(x, n, extend=False):
-        f = step if n >= 0 else unstep
-        for _ in range(abs(n)):
-            x = f(x)
+        for _ in range(n):
+            x = step(x)
         return x
     return power
+
+
+def _double_power(x: EpSeq, n: int, extend: bool = False) -> EpSeq:
+    """2^n x: prepend n zeros, or drop |n| of them when n < 0, raising
+    at the first odd point on the way as |n| halvings would."""
+    if n >= 0:
+        return x if x == ZERO else EpSeq((0,) * n + x.preperiod, x.period)
+    # a 1 among the first -n digits shows within one preperiod and period
+    for i in range(min(-n, len(x.preperiod) + len(x.period))):
+        if x.digit(i):
+            raise DomainError(f"{EpSeq(*_tail(x, i))} is odd: not in the image of doubling")
+    return EpSeq(*_tail(x, -n))
 
 
 # Each --map as one function (x, n, extend) -> the n-th image of x, the
 # |n|-th preimage when n < 0; closed forms where the map has one.
 _STEP_POWERS = {
     "morse": morse_power,
-    "skew": _iterate(lambda x: f_inv(skew_step(f_map(x))),
-                     lambda x: f_inv(skew_unstep(f_map(x)))),
+    # the skew product's fiber step continues past the four ends
+    "skew": lambda x, n, e: morse_power(x, n, True),
     "odometer": lambda x, n, e: add_integer(x, n),
     "diff": _iterate(differentiate),
     "shift": lambda x, n, e: EpSeq(*_tail(x, n)),
-    "double": _iterate(double, _halve),
+    "double": _double_power,
 }
 
 
@@ -130,7 +133,7 @@ def cmd_step(args) -> int:
     n = _count(args)
     power = _step_power(args)
     x = power(parse_point(args.point), n, args.extend_at_max)
-    text, value = str(x), _value(x)
+    text, value = str(x), _exact(x.to_rational())
     _emit(args, f"{text} = {value}", {"point": text, "value": value})
     return 0
 
@@ -140,7 +143,7 @@ def cmd_orbit(args) -> int:
     power = _step_power(args)
     x = parse_point(args.point)
     for i in range(abs(n) + 1):
-        text, value = str(x), _value(x)
+        text, value = str(x), _exact(x.to_rational())
         _emit(args, f"{i}\t{text} = {value}",
               {"step": i, "point": text, "value": value})
         if i < abs(n):
@@ -192,13 +195,9 @@ def _solenoid_power(args) -> Callable[[solenoid.BiSeq, int], solenoid.BiSeq]:
         return _iterate(solenoid.d_hat)
     if args.map == "translate":
         q = DyadicRational.parse(args.by)
-
-        def power(x, n):
-            return solenoid.q2_translate(DyadicRational(n * q.num, q.exp), x)
-    else:
-        def power(x, n):
-            return solenoid.m_power(x, n, args.extend_at_max)
-    return lambda x, n: solenoid.conjugate(args.level, partial(power, n=n), x)
+        return lambda x, n: solenoid.t_power(x, n * q.num, level=args.level - q.exp)
+    return lambda x, n: solenoid.m_power(
+        x, n, args.extend_at_max, level=args.level)
 
 
 def cmd_solenoid_step(args) -> int:
@@ -206,8 +205,9 @@ def cmd_solenoid_step(args) -> int:
     x = solenoid.BiSeq.parse(args.point)
     x = _solenoid_power(args)(x, n)
     coord = solenoid.pi(x)
-    _emit(args, f"{x} | y={coord.y} lam={coord.lam}",
-          {"point": str(x), "y": str(coord.y), "lam": str(coord.lam)})
+    lam = _exact(coord.lam)
+    _emit(args, f"{x} | y={coord.y} lam={lam}",
+          {"point": str(x), "y": str(coord.y), "lam": lam})
     return 0
 
 

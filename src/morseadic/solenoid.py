@@ -6,12 +6,12 @@ EpSeq halves.  These form the rational skeleton of the solenoid: dense,
 closed under every map below, and exact, so identities can be tested as
 structural equalities.
 
-Maps: translation by one (t_hat), the invertible two-sided shift
-(s_hat, k=1 is multiplication by 2), two-sided differentiation (d_hat),
-the extended successor (m_hat) and its inverse, their shift conjugates
-(conjugate, with the families t_family / m_family), and translation by
-any dyadic rational (q2_translate), which together realize an action of
-the group of dyadic rationals.
+Maps: the invertible two-sided shift (s_hat, k=1 is multiplication
+by 2), two-sided differentiation (d_hat), and two actions of the dyadic
+rationals by the amount n * 2^level: t_power adds n to the right half
+and m_power jumps it n Morse steps, both conjugated by level shifts as
+conjugate does for any map.  The paper's named maps are their cases:
+t_hat, t_family and q2_translate; m_hat, m_hat_inv and m_family.
 
 m_hat moves the right half one successor step and flips the left half
 exactly when the step changes the right half's digit 0.  That choice is
@@ -24,6 +24,13 @@ adic.step_parity, which reads the same flip off the differentiated
 point, stays the independent reference: verify's coord-lambda check and
 the left-flip-rule test compare m_hat against it, and the parity-law
 check ties it to the integer step theta.
+
+Translation is an exact action: t_power by 2n at level L equals t_power
+by n at level L + 1.  The Morse action is exact at one level, and
+without extend the same level law holds wherever it is defined.  With
+extend it may fail by exactly flip, the kernel of d_hat, on points whose
+right half is eventually constant or alternating (a finite shift keeps
+that tail), so Morse amounts are never normalized.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from . import dyadic
@@ -42,7 +48,6 @@ from .dyadic import (
     _split,
     _tail,
     add_integer,
-    add_one,
     differentiate,
 )
 from .adic import morse_power
@@ -110,11 +115,6 @@ def pi(x: BiSeq) -> SolenoidCoord:
     return SolenoidCoord(x.right, lam % 1)
 
 
-def t_hat(x: BiSeq) -> BiSeq:
-    """Add one: odometer on the right half, left half untouched."""
-    return BiSeq(x.left, add_one(x.right))
-
-
 def s_hat(x: BiSeq, k: int = 1) -> BiSeq:
     """k-fold two-sided shift: digit(result, n) = digit(x, n - k).
     k = 1 multiplies the point by 2 (lam doubles mod 1, y gains the
@@ -179,58 +179,54 @@ def d_hat(x: BiSeq) -> BiSeq:
     return BiSeq(differentiate(left), differentiate(x.right))
 
 
-def m_power(x: BiSeq, n: int, extend: bool = False) -> BiSeq:
-    """The n-th iterate of m_hat (n < 0: of m_hat_inv) in closed form.
+def m_power(x: BiSeq, n: int, extend: bool = False, level: int = 0) -> BiSeq:
+    """The Morse action by n * 2^level: m_hat iterated n times (n < 0:
+    m_hat_inv), conjugated by level shifts.  A jump past the end of a
+    semiorbit raises what n single steps would, unless extend is set."""
+    y = s_hat(x, -level)
+    right = morse_power(y.right, n, extend)
+    left = y.left.flip() if right.digit(0) != y.right.digit(0) else y.left
+    return s_hat(BiSeq(left, right), level)
 
-    The right half jumps with morse_power; each step flips the left half
-    iff it changes the right half's digit 0, so the flips telescope and
-    the left half flips iff the jump changes that digit.  A jump past the
-    end of a semiorbit raises what n single steps would raise there,
-    unless extend is set.
-    """
-    right = morse_power(x.right, n, extend)
-    if right.digit(0) != x.right.digit(0):
-        return BiSeq(x.left.flip(), right)
-    return BiSeq(x.left, right)
+
+def t_power(x: BiSeq, n: int, level: int = 0) -> BiSeq:
+    """Translation by n * 2^level: add the integer n to the right half
+    with full carries, conjugated by level shifts."""
+    y = s_hat(x, -level)
+    return s_hat(BiSeq(y.left, add_integer(y.right, n)), level)
 
 
 def m_hat(x: BiSeq, extend_at_max: bool = False) -> BiSeq:
-    """Extended successor m_power(x, 1): right steps to its successor,
-    left flips iff the step changes digit 0 of the right half.  That is
-    the flip step_parity(right) reads off the differentiated point;
-    step_parity stays the independent reference that verify's
-    coord-lambda check and the left-flip-rule test compare m_hat against.
-
-    Unique extension satisfying t_hat(d_hat(x)) == d_hat(m_hat(x)) and
-    restricting to morse_successor on zero-left points.  Raises MaxPoint
-    when the right half is alternating, unless extend_at_max.
-    """
+    """Extended successor: m_power by 1.  Raises MaxPoint when the right
+    half is alternating, unless extend_at_max."""
     return m_power(x, 1, extend_at_max)
 
 
 def m_hat_inv(x: BiSeq, extend_at_min: bool = False) -> BiSeq:
-    """Inverse of m_hat, m_power(x, -1): right steps back, left unflips
-    by the same digit-0 rule.  Raises MinPoint when the right half is
-    constant, unless extend_at_min."""
+    """Inverse of m_hat: m_power by -1.  Raises MinPoint when the right
+    half is constant, unless extend_at_min."""
     return m_power(x, -1, extend_at_min)
+
+
+def m_family(i: int, x: BiSeq, extend_at_max: bool = False) -> BiSeq:
+    """Conjugate successor s_hat(i) . m_hat . s_hat(-i): m_power by 2^i.
+    Applied twice it equals m_family(i+1) where defined; with
+    extend_at_max the two may differ by flip (see the module docstring)."""
+    return m_power(x, 1, extend_at_max, level=i)
+
+
+def t_hat(x: BiSeq) -> BiSeq:
+    """Add one: odometer on the right half, left half untouched."""
+    return t_power(x, 1)
 
 
 def t_family(i: int, x: BiSeq) -> BiSeq:
     """Conjugate translation s_hat(i) . t_hat . s_hat(-i): adds 2^i,
     so t_family(i) applied twice equals t_family(i+1)."""
-    return conjugate(i, t_hat, x)
-
-
-def m_family(i: int, x: BiSeq, extend_at_max: bool = False) -> BiSeq:
-    """Conjugate successor s_hat(i) . m_hat . s_hat(-i); applied twice
-    it equals m_family(i+1).  MaxPoint propagates from the conjugated
-    point."""
-    return conjugate(i, partial(m_hat, extend_at_max=extend_at_max), x)
+    return t_power(x, 1, level=i)
 
 
 def q2_translate(q: DyadicRational, x: BiSeq) -> BiSeq:
-    """Translate by the dyadic rational q = num / 2^exp: shift up so q
-    becomes an integer, add it with full carries, shift back.  Additive
-    in q; q = 1 is t_hat."""
-    return conjugate(
-        -q.exp, lambda y: BiSeq(y.left, add_integer(y.right, q.num)), x)
+    """Translate by the dyadic rational q = num / 2^exp: t_power by num
+    at level -exp.  Additive in q; q = 1 is t_hat."""
+    return t_power(x, q.num, level=-q.exp)

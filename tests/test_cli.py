@@ -5,6 +5,8 @@ import random
 import re
 import shlex
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,9 @@ from morseadic import (
     DyadicRational,
     EpSeq,
     add_one,
+    double,
+    f_inv,
+    f_map,
     m_hat,
     m_hat_inv,
     morse_predecessor,
@@ -23,6 +28,8 @@ from morseadic import (
     q2_translate,
     s_hat,
     shift_drop,
+    skew_step,
+    skew_unstep,
     subtract_one,
 )
 from morseadic import cli
@@ -184,6 +191,93 @@ class TestShiftPower:
         assert out == "(100) = -1/7\n"
 
 
+def _halve(x):
+    if x.digit(0) == 1:
+        raise DomainError(f"{x} is odd: not in the image of doubling")
+    return shift_drop(x)
+
+
+def _read_value(text):
+    """The Fraction a printed value denotes, read without str -> int."""
+    num, _, den = text.partition("/")
+    return Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
+
+
+class TestSkewPower:
+    POINTS = TestShiftPower.POINTS
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("lit", POINTS)
+    def test_matches_skew_product(self, capsys, lit, inverse):
+        x = parse_point(lit)
+        step = skew_unstep if inverse else skew_step
+        flags = ["--inverse"] if inverse else []
+        for n in range(65):
+            code, out, _ = run(capsys, "step", lit, "--map", "skew", "-n", str(n), *flags)
+            assert code == 0
+            assert out == f"{x} = {x.to_rational()}\n", n
+            x = f_inv(step(f_map(x)))
+
+    def test_far_count_is_immediate(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "step", "01(001)", "--map", "skew",
+                           "-n", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == run(capsys, "step", "01(001)", "-n", "1000000000")[1]
+
+
+class TestDoublePower:
+    # odd points at depths 0, 3, 5 and 8, besides the shared points
+    POINTS = TestShiftPower.POINTS + ["1(0)", "0001(0)", "000001(1)", "00000000(10)"]
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("lit", POINTS)
+    def test_matches_iteration(self, capsys, lit, inverse):
+        x = parse_point(lit)
+        flags = ["--inverse"] if inverse else []
+        for n in range(65):
+            if isinstance(x, DomainError):
+                # every longer run of halvings fails at the same odd point
+                want = 3, "", f"error: {x}\n"
+            else:
+                want = 0, f"{x} = {x.to_rational()}\n", ""
+                try:
+                    x = _halve(x) if inverse else double(x)
+                except DomainError as exc:
+                    x = exc
+            assert run(capsys, "step", lit, "--map", "double", "-n", str(n), *flags) == want, n
+
+    def test_far_count_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "step", "01(001)", "--map", "double", "-n", "20000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        text, value = out.rstrip("\n").split(" = ")
+        want = EpSeq.parse("01(001)").to_rational() * 2**20000
+        assert _read_value(value) == EpSeq.parse(text).to_rational() == want
+
+
+class TestExactValues:
+    # str() of an int past 4300 decimal digits raises unless told not to
+    def test_step_value(self, capsys):
+        code, out, err = run(capsys, "step", "1(0)", "--map", "double", "-n", "15000")
+        assert (code, err) == (0, "")
+        text, value = out.rstrip("\n").split(" = ")
+        assert text == "0" * 15000 + "1(0)"
+        assert _read_value(value) == 2**15000
+
+    def test_solenoid_lam(self, capsys):
+        code, out, err = run(capsys, "solenoid-step", "(0)1.1(0)", "--map", "shift",
+                             "-n", "20000", "--inverse")
+        assert (code, err) == (0, "")
+        x = s_hat(BiSeq.parse("(0)1.1(0)"), -20000)
+        point, lam = re.fullmatch(r"(\S+) \| y=\S+ lam=(\S+)\n", out).groups()
+        assert point == str(x)
+        assert _read_value(lam) == pi(x).lam
+        assert pi(x).lam.denominator == 2**20001
+
+
 class TestOrbit:
     def test_line_count(self, capsys):
         code, out, _ = run(capsys, "orbit", "0", "-n", "5")
@@ -327,6 +421,53 @@ class TestSolenoidStep:
             c = pi(x)
             want = 0, f"{x} | y={c.y} lam={c.lam}\n", ""
         assert run(capsys, "solenoid-step", point, "-n", "4096", *flags) == want
+
+    @staticmethod
+    def _morse_step(y, inverse, extend):
+        right = (morse_predecessor(y.right, extend_at_min=extend) if inverse
+                 else morse_successor(y.right, extend_at_max=extend))
+        left = y.left.flip() if right.digit(0) != y.right.digit(0) else y.left
+        return BiSeq(left, right)
+
+    @staticmethod
+    def _translate_step(q, inverse):
+        """Translation by -q or q: |num| unit steps at level -exp."""
+        add = subtract_one if (q.num < 0) != inverse else add_one
+
+        def units(y):
+            for _ in range(abs(q.num)):
+                y = BiSeq(y.left, add(y.right))
+            return y
+        return lambda y: conjugate(-q.exp, units, y)
+
+    @pytest.mark.parametrize("extend", [False, True])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("level", [-3, 0, 2])
+    @pytest.mark.parametrize("by", [None, "1", "-3/4"])
+    def test_action_grid(self, capsys, by, level, inverse, extend):
+        if by is None:
+            flags = ["--map", "morse"]
+            step = lambda y: self._morse_step(y, inverse, extend)
+        else:
+            flags = ["--map", "translate", f"--by={by}"]
+            step = self._translate_step(DyadicRational.parse(by), inverse)
+        flags += ["--level", str(level)] + ["--inverse"] * inverse + \
+            ["--extend-at-max"] * extend
+        for point in ("(0).(0)", "(1).(01)", "(10)01.1(10)", "(011)1.01(001)",
+                      "(1011)0.(10)"):
+            x = BiSeq.parse(point)
+            for n in range(9):
+                try:
+                    y = x
+                    for _ in range(n):
+                        y = conjugate(level, step, y)
+                except DomainError as exc:
+                    want = 3, "", f"error: {exc}\n"
+                else:
+                    c = pi(y)
+                    want = 0, f"{y} | y={c.y} lam={c.lam}\n", ""
+                got = run(capsys, "solenoid-step", point, "-n", str(n), *flags)
+                assert got == want, (point, n)
 
     def test_translate_by_zero_denominator(self, capsys):
         code, out, err = run(capsys, "solenoid-step", "(0).(0)",

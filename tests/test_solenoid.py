@@ -31,6 +31,7 @@ from morseadic import (
     step_parity,
     t_family,
     t_hat,
+    t_power,
 )
 from morseadic.dyadic import _split
 from conftest import bi_seqs, ep_seqs
@@ -281,6 +282,74 @@ class TestMPower:
         x = BiSeq(left, right)
         assert _outcome(m_power, x, n, extend) == \
             _outcome(_iterate_m_hat, x, n, extend)
+
+
+points = st.builds(BiSeq, ep_seqs(), st.one_of(ep_seqs(), near_ends))
+counts = st.integers(-16, 16)
+levels = st.integers(-3, 3)
+
+
+class TestActionLaws:
+    """How the Morse action m_power and the translation t_power by
+    n * 2^level compose, as the closed forms behave."""
+
+    @settings(max_examples=300)
+    @given(points, counts, counts, levels, st.booleans())
+    def test_morse_same_level_additive(self, x, a, b, level, extend):
+        try:
+            twice = m_power(m_power(x, a, extend, level), b, extend, level)
+            once = m_power(x, a + b, extend, level)
+        except (MaxPoint, MinPoint):
+            assume(not extend)
+            return
+        assert twice == once
+
+    @settings(max_examples=300)
+    @given(points, counts, levels)
+    def test_morse_level_law_without_extend(self, x, n, level):
+        # one side raises iff the other does, not always at the same point
+        low = _outcome(m_power, x, 2 * n, False, level)
+        high = _outcome(m_power, x, n, False, level + 1)
+        if isinstance(low, BiSeq) or isinstance(high, BiSeq):
+            assert low == high
+        else:
+            assert low[0] == high[0]
+
+    @settings(max_examples=300)
+    @given(points, counts, levels)
+    def test_morse_level_law_with_extend_up_to_flip(self, x, n, level):
+        low = m_power(x, 2 * n, True, level)
+        high = m_power(x, n, True, level + 1)
+        if low != high:
+            # only where the right half ends constant or alternating
+            assert x.right.is_eventually_constant() or x.right.is_eventually_alternating()
+            assert low == high.flip()
+
+    @settings(max_examples=300)
+    @given(points, counts, levels, st.booleans())
+    def test_morse_intertwines_translation(self, x, n, level, extend):
+        try:
+            moved = m_power(x, n, extend, level)
+        except (MaxPoint, MinPoint):
+            assume(not extend)
+            return
+        assert d_hat(moved) == t_power(d_hat(x), n, level)
+
+    @given(bi_seqs(), st.integers(-64, 64), st.integers(-64, 64), levels)
+    def test_translation_additive(self, x, a, b, level):
+        assert t_power(t_power(x, a, level), b, level) == t_power(x, a + b, level)
+
+    @given(bi_seqs(), st.integers(-64, 64), levels)
+    def test_translation_level_law(self, x, n, level):
+        assert t_power(x, 2 * n, level) == t_power(x, n, level + 1)
+
+    def test_extended_level_law_fails_by_flip(self):
+        x = biseq("(1011)0.(10)")
+        once = m_family(-1, x, extend_at_max=True)
+        twice = m_family(-2, m_family(-2, x, extend_at_max=True), extend_at_max=True)
+        assert str(once) == "(0100)1.(1)"
+        assert str(twice) == "(1011)0.(0)"
+        assert twice == once.flip()
 
 
 class TestFamilies:
