@@ -1,12 +1,12 @@
 """The adic successor on 2-adic sequences and its skew-product form.
 
-The partial order compares two cofinal sequences at their last point of
-disagreement; which digit wins there is decided by the next digit they
-share (0 before 1 under a shared 0, 1 before 0 under a shared 1).  The
-successor map replaces everything below the first adjacent equal pair
-"aa" with the opposite digit, keeping the pair's second digit and the
-rest.  Iterating it from 0 walks the nonnegative integers in the order
-0, 1, 3, 2, 7, 6, 4, 5, 15, ...
+The successor map replaces everything below the first adjacent equal
+pair "aa" with the opposite digit, keeping the pair's second digit and
+the rest.  Iterating it from 0 walks the nonnegative integers in the
+order 0, 1, 3, 2, 7, 6, 4, 5, 15, ...  Differentiation D conjugates it
+to x -> x + 1 and an orbit is a cofinality class, so cofinal x and y lie
+D(y) - D(x) steps apart (`orbit_index`), and the partial order is the
+sign of that integer (`compare`).
 
 The same map is a skew product over the odometer: differentiate the
 sequence, add one to the result, and re-integrate, with the starting
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import lcm
+from itertools import chain, cycle, islice
 
 from .dyadic import (
     ALT_01,
@@ -25,6 +25,7 @@ from .dyadic import (
     EpSeq,
     MINUS_ONE,
     ZERO,
+    _pack,
     _split,
     add_integer,
     add_one,
@@ -48,16 +49,27 @@ def compare(x: EpSeq, y: EpSeq) -> Ordering:
     incomparable rather than an error."""
     if x == y:
         return Ordering.EQUAL
-    if not x.is_cofinal(y):
+    n = orbit_index(x, y)
+    if n is None:
         return Ordering.INCOMPARABLE
-    top = max(len(x.preperiod), len(y.preperiod)) + lcm(
-        len(x.period), len(y.period)
-    )
-    j = next(i for i in range(top - 1, -1, -1) if x.digit(i) != y.digit(i))
-    shared = x.digit(j + 1)
-    # under a shared 0 the digit 0 comes first, under a shared 1 the digit 1
-    less = x.digit(j) == shared
-    return Ordering.LESS if less else Ordering.GREATER
+    return Ordering.LESS if n > 0 else Ordering.GREATER
+
+
+def orbit_index(x: EpSeq, y: EpSeq) -> int | None:
+    """The n with morse_power(x, n) == y, or None when x and y are not
+    cofinal (not on one orbit).
+
+    n = D(y) - D(x).  The points agree past the longer preperiod, N
+    digits, so only digits 0..N of each count: packed into an int w,
+    w ^ (w >> 1) holds digits 0..N-1 of D and the shared digit N, which
+    cancels.  The cost follows N, not the periods.
+    """
+    if not x.is_cofinal(y):
+        return None
+    n = max(len(x.preperiod), len(y.preperiod)) + 1
+    wx, wy = (_pack(reversed(list(islice(chain(z.preperiod, cycle(z.period)), n))))
+              for z in (x, y))
+    return (wy ^ (wy >> 1)) - (wx ^ (wx >> 1))
 
 
 def morse_successor(x: EpSeq, extend_at_max: bool = False) -> EpSeq:
@@ -226,22 +238,20 @@ def classify_orbit(x: EpSeq, bound: int | None = None) -> OrbitClass:
 def successor_prefix(bits: int, m: int) -> int | None:
     """Prefix image under the successor, or None when the prefix has no
     adjacent equal pair (the cylinder does not map to one cylinder)."""
-    prev = bits & 1
-    for k in range(1, m):
-        cur = (bits >> k) & 1
-        if cur == prev:
-            mask = (1 << k) - 1
-            if cur == 0:
-                return (bits & ~mask) | mask
-            return bits & ~mask
-        prev = cur
-    return None
+    # bit j is set when digits j and j + 1 (both below m) are equal
+    pairs = ~(bits ^ (bits >> 1)) & (((1 << m) - 1) >> 1)
+    if not pairs:
+        return None
+    k = (pairs & -pairs).bit_length()
+    mask = (1 << k) - 1
+    return bits | mask if (bits >> k) & 1 == 0 else bits & ~mask
 
 
 def phi_prefix(bits: int, m: int) -> int | None:
     """Value of phi on the cylinder, or None when the prefix is all ones
     (the leading run may continue past the window)."""
-    for i in range(m):
-        if ((bits >> i) & 1) == 0:
-            return 1 if i % 2 == 0 else 0
-    return None
+    zeros = ~bits & ((1 << m) - 1)
+    if not zeros:
+        return None
+    run = (zeros & -zeros).bit_length() - 1
+    return 1 if run % 2 == 0 else 0

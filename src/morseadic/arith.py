@@ -63,17 +63,13 @@ def theta(x: EpSeq) -> int:
 
 
 def _int_first_pair(n: int) -> tuple[int, int]:
+    # Bit j of ~(n ^ (n >> 1)) is set when digits j and j + 1 are equal.
     # Arithmetic shift exposes the two's-complement digits, so this works
     # for negative n too; the digits are eventually constant, so a pair
     # always exists.
-    prev = n & 1
-    k = 1
-    while True:
-        cur = (n >> k) & 1
-        if cur == prev:
-            return k, cur
-        prev = cur
-        k += 1
+    pairs = ~(n ^ (n >> 1))
+    k = (pairs & -pairs).bit_length()
+    return k, (n >> k) & 1
 
 
 def morse_int(n: int) -> int:

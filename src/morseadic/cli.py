@@ -180,7 +180,7 @@ def cmd_code(args) -> int:
 def cmd_factor(args) -> int:
     if not set(args.word) <= {"0", "1"}:
         raise ValueError(f"not a binary word: {args.word!r}")
-    ok = substitution.is_factor(args.word, args.window)
+    ok = substitution.is_factor(args.word)
     _emit(args, "yes" if ok else "no", {"word": args.word, "factor": ok})
     return 0
 
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", parents=[common],
                        help="membership of a word in the fixed word's language")
     p.add_argument("word")
-    p.add_argument("--window", type=int, default=None)
     p.set_defaults(fn=cmd_factor)
 
     p = sub.add_parser("solenoid-step", parents=[common],

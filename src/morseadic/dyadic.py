@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
 from operator import xor
 
 from .errors import AlternatingPoint
@@ -174,12 +174,15 @@ class EpSeq:
         return self.period in ((0, 1), (1, 0))
 
     def is_cofinal(self, other: "EpSeq") -> bool:
-        """True when the two sequences differ in only finitely many digits."""
-        start = max(len(self.preperiod), len(other.preperiod))
-        span = lcm(len(self.period), len(other.period))
-        return all(
-            self.digit(i) == other.digit(i) for i in range(start, start + span)
-        )
+        """True when the two sequences differ in only finitely many digits:
+        their primitive periods have one length and agree at the rotation
+        r that lines up the ends of the two preperiods."""
+        per, oper = self.period, other.period
+        k = len(per)
+        if len(oper) != k:
+            return False
+        r = (len(other.preperiod) - len(self.preperiod)) % k
+        return oper[: k - r] == per[r:] and oper[k - r :] == per[:r]
 
     def __str__(self) -> str:
         pre = "".join(str(b) for b in self.preperiod)
@@ -275,18 +278,10 @@ def integrate(y: EpSeq, x0: int) -> EpSeq:
     """
     if x0 not in (0, 1):
         raise ValueError("starting digit must be 0 or 1")
-    m, k = len(y.preperiod), len(y.period)
-    s = x0
-    pre = []
-    for i in range(m):
-        pre.append(s)
-        s ^= y.digit(i)
-    span = k if sum(y.period) % 2 == 0 else 2 * k
-    per = []
-    for i in range(span):
-        per.append(s)
-        s ^= y.digit(m + i)
-    return EpSeq(tuple(pre), tuple(per))
+    pre, per = y.preperiod, y.period
+    # a list: tuple() of an iterator of unknown length fills CPython's tuple free lists
+    x = list(accumulate(pre + per * (1 + sum(per) % 2), xor, initial=x0))
+    return EpSeq(x[: len(pre)], x[len(pre) : -1])
 
 
 def shift_drop(x: EpSeq) -> EpSeq:

@@ -77,13 +77,11 @@ def substitution_fixed_point(rules: dict[str, str], seed: str, n: int) -> str:
     return w[:n]
 
 
-def is_factor(w: str, window: int | None = None) -> bool:
+def is_factor(w: str) -> bool:
     """Whether w occurs in the Thue-Morse word.  By recurrence every
-    factor shows up within any sufficiently long prefix; the default
-    window 8*len(w) + 16 is safely past that threshold."""
-    if window is None:
-        window = 8 * len(w) + 16
-    return w in thue_morse_prefix(window)
+    factor shows up within any sufficiently long prefix; the prefix of
+    8*len(w) + 16 letters is safely past that threshold."""
+    return w in thue_morse_prefix(8 * len(w) + 16)
 
 
 @dataclass(frozen=True, slots=True)

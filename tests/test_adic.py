@@ -1,9 +1,11 @@
 import random
+import time
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ep_seqs
+from conftest import ep_seqs, seq_pairs
 from morseadic import (
     ALT_01,
     ALT_10,
@@ -18,6 +20,7 @@ from morseadic import (
     morse_power,
     morse_predecessor,
     morse_successor,
+    orbit_index,
     phi,
     step_parity,
     theta,
@@ -49,6 +52,20 @@ def _int_less(a: int, b: int) -> bool:
     return (a >> j) & 1 == shared
 
 
+def scan_compare(x: EpSeq, y: EpSeq) -> Ordering:
+    """Reference: decide at the last disagreement within one common
+    period past both preperiods, by the next digit the points share."""
+    if x == y:
+        return Ordering.EQUAL
+    start = max(len(x.preperiod), len(y.preperiod))
+    top = start + lcm(len(x.period), len(y.period))
+    if any(x.digit(i) != y.digit(i) for i in range(start, top)):
+        return Ordering.INCOMPARABLE
+    j = next(i for i in range(top - 1, -1, -1) if x.digit(i) != y.digit(i))
+    less = x.digit(j) == x.digit(j + 1)
+    return Ordering.LESS if less else Ordering.GREATER
+
+
 class TestCompare:
     def test_reflexive(self):
         x = EpSeq.from_integer(9)
@@ -77,6 +94,22 @@ class TestCompare:
                     Ordering.EQUAL if a == b else Ordering.GREATER)
                 got = compare(EpSeq.from_integer(a), EpSeq.from_integer(b))
                 assert got is expected, (a, b)
+
+    @settings(max_examples=500)
+    @given(seq_pairs())
+    def test_matches_digit_scan(self, pair):
+        x, y = pair
+        assert compare(x, y) is scan_compare(x, y)
+
+    def test_long_periods_are_fast(self):
+        rng = random.Random(10)
+        per = tuple(rng.randrange(2) for _ in range(100_000))
+        x = EpSeq((1, 1, 0), per)
+        y = add_integer(x, -12345)
+        start = time.perf_counter()
+        got = compare(x, y), compare(y, x)
+        assert time.perf_counter() - start < 0.05
+        assert got == (Ordering.GREATER, Ordering.LESS)
 
 
 class TestSuccessor:
@@ -196,6 +229,39 @@ class TestMorsePower:
         assert (window.word, window.lo) == ("".join(letters), lo)
 
 
+class TestOrbitIndex:
+    @settings(max_examples=500)
+    @given(power_points, st.integers(-(2**20), 2**20))
+    def test_inverts_morse_power(self, x, n):
+        y = _outcome(morse_power, x, n)
+        assume(isinstance(y, EpSeq))
+        assert orbit_index(x, y) == n
+
+    @pytest.mark.parametrize("end", _ENDS, ids=str)
+    def test_inverts_morse_power_on_the_exceptional_semiorbits(self, end):
+        for j in range(-40, 41):
+            x = _iterate(end, j, True)
+            for n in range(-40, 41):
+                y = _outcome(morse_power, x, n)
+                if isinstance(y, EpSeq):
+                    assert orbit_index(x, y) == n, (x, n)
+
+    @given(ep_seqs())
+    def test_flip_is_on_another_orbit(self, x):
+        assert orbit_index(x, x.flip()) is None
+
+    @given(seq_pairs())
+    def test_none_exactly_off_the_orbit(self, pair):
+        x, y = pair
+        assert (orbit_index(x, y) is None) == (scan_compare(x, y) is Ordering.INCOMPARABLE)
+
+    def test_examples(self):
+        assert orbit_index(ZERO, EpSeq.from_integer(2)) == 3
+        assert orbit_index(EpSeq.from_integer(2), ZERO) == -3
+        assert orbit_index(ZERO, MINUS_ONE) is None
+        assert orbit_index(EpSeq.parse("(001)"), EpSeq.parse("(011)")) is None
+
+
 class TestCocycles:
     def test_leading_run_parity(self):
         assert phi(EpSeq.from_integer(1)) == 0
@@ -306,6 +372,23 @@ class TestOrbitClassification:
         assert OrbitClass.NEG_SEMIORBIT_01.value == "NegSemiorbitOf01"
 
 
+def loop_successor_prefix(bits: int, m: int) -> int | None:
+    """Reference: scan the prefix for its first adjacent equal pair."""
+    for k in range(1, m):
+        if (bits >> k) & 1 == (bits >> (k - 1)) & 1:
+            mask = (1 << k) - 1
+            return bits | mask if (bits >> k) & 1 == 0 else bits & ~mask
+    return None
+
+
+def loop_phi_prefix(bits: int, m: int) -> int | None:
+    """Reference: scan the prefix for its first 0."""
+    for i in range(m):
+        if (bits >> i) & 1 == 0:
+            return 1 if i % 2 == 0 else 0
+    return None
+
+
 class TestPrefixMaps:
     def test_alternating_prefixes_undetermined(self):
         for m in range(2, 10):
@@ -326,6 +409,12 @@ class TestPrefixMaps:
                 y = morse_successor(x)
                 got = sum(y.digit(i) << i for i in range(m))
                 assert got == image, (bits, per)
+
+    def test_bit_rules_match_digit_loops(self):
+        for m in range(13):
+            for bits in range(1 << m):
+                assert successor_prefix(bits, m) == loop_successor_prefix(bits, m)
+                assert phi_prefix(bits, m) == loop_phi_prefix(bits, m)
 
     def test_phi_prefix_agrees_with_phi(self):
         for bits in range(1 << 8):

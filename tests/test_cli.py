@@ -348,6 +348,11 @@ class TestFactor:
         code, _, err = run(capsys, "factor", "01a")
         assert code == 2
 
+    def test_has_no_window_option(self, capsys):
+        code, out, _ = run(capsys, "factor", "0110", "--window", "3")
+        assert code == 2
+        assert out == ""
+
 
 class TestSolenoidStep:
     def test_successor(self, capsys):

@@ -1,10 +1,11 @@
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import ep_seqs, small_ints
+from conftest import ep_seqs, seq_pairs, small_ints
 from morseadic import (
     ALT_01,
     ALT_10,
@@ -143,6 +144,14 @@ class TestRationals:
         assert EpSeq.from_rational(r.numerator, r.denominator) == x
 
 
+def scan_is_cofinal(x: EpSeq, y: EpSeq) -> bool:
+    """Reference: compare digits over one common period past both
+    preperiods."""
+    start = max(len(x.preperiod), len(y.preperiod))
+    span = lcm(len(x.period), len(y.period))
+    return all(x.digit(i) == y.digit(i) for i in range(start, start + span))
+
+
 class TestDigitsAndPredicates:
     def test_digit_examples(self):
         x = EpSeq.parse("01(10)")
@@ -167,6 +176,22 @@ class TestDigitsAndPredicates:
     @given(ep_seqs())
     def test_never_cofinal_with_flip(self, x):
         assert not x.is_cofinal(x.flip())
+
+    @pytest.mark.parametrize("a,b,want", [
+        ("00(01)", "(01)", True), ("0(01)", "(01)", False),
+        ("1(100)", "10(001)", True), ("(001)", "(011)", False),
+        ("(01)", "(011)", False), ("(0)", "1101(01)", False),
+    ])
+    def test_cofinality_examples(self, a, b, want):
+        x, y = EpSeq.parse(a), EpSeq.parse(b)
+        assert x.is_cofinal(y) is want
+        assert y.is_cofinal(x) is want
+
+    @settings(max_examples=500)
+    @given(seq_pairs())
+    def test_cofinality_matches_digit_scan(self, pair):
+        x, y = pair
+        assert x.is_cofinal(y) == scan_is_cofinal(x, y)
 
 
 class TestFlip:
@@ -234,6 +259,11 @@ class TestDifferentiation:
     @given(ep_seqs())
     def test_two_preimages_are_flips(self, y):
         assert integrate(y, 1) == integrate(y, 0).flip()
+
+    @pytest.mark.parametrize("x0", [2, -1])
+    def test_integrate_rejects_a_bad_start_digit(self, x0):
+        with pytest.raises(ValueError, match="starting digit"):
+            integrate(EpSeq.parse("1(01)"), x0)
 
 
 class TestShifts:

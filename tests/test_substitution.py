@@ -84,10 +84,21 @@ class TestFactor:
         assert not is_factor(w)
 
     def test_window_override(self):
-        assert is_factor("0110", window=64)
+        assert is_factor("0110")
 
     def test_empty(self):
         assert is_factor("")
+
+    def test_default_prefix_holds_every_short_factor(self):
+        # every factor of length n <= 128 of the 2^17-letter prefix first
+        # ends by letter 6.8n (worst at n = 66), inside the 8n + 16 read
+        size, top = 1 << 17, 128
+        t = thue_morse_prefix(size)
+        longest = {t[i:i + top] for i in range(size - top + 1)}
+        for n in range(1, top + 1):
+            words = {w[:n] for w in longest}
+            words |= {t[i:i + n] for i in range(size - top + 1, size - n + 1)}
+            assert all(is_factor(w) for w in words), n
 
 
 class TestCodingWindow:
@@ -133,7 +144,7 @@ class TestCoding:
 
     def test_every_window_is_a_factor(self):
         x = EpSeq.from_rational(5, 7)
-        assert is_factor(coding(x, 0, 40).word, window=2048)
+        assert is_factor(coding(x, 0, 40).word)
 
 
 class TestDesubstitution:
